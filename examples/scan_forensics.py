@@ -85,9 +85,10 @@ def main() -> None:
             is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports
         )
         with TraceWriter.open(path) as writer:
-            for record in dataset.packet_stream(end=days(1)):
-                live.observe(record)
-                writer.write(anonymizer.anonymize(record))
+            for batch in dataset.record_batches(end=days(1)):
+                for record in batch.to_records():
+                    live.observe(record)
+                    writer.write(anonymizer.anonymize(record))
         size_mb = os.path.getsize(path) / 1e6
         archived = PassiveServiceTable(
             is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports

@@ -3,18 +3,13 @@
 
 Runs ``record_bench.py`` fresh (same dataset/scale/seed the committed
 ``BENCH_baseline.json`` was recorded under, unless overridden) and
-compares every throughput figure -- scalar and columnar replay,
-scalar and columnar streaming ingest, the online-probing stream
-(``stream_online_probe``), the process fabric (``stream_fabric``),
-and the live query service's ``queries_per_sec``
-(``query_service``) -- against the baseline.
+compares every throughput figure -- column replay, streaming ingest,
+the online-probing stream (``stream_online_probe``), the process
+fabric (``stream_fabric``), and the live query service's
+``queries_per_sec`` (``query_service``) -- against the baseline.
 The check fails when any figure drops below
 ``baseline * (1 - tolerance)``; improvements and small wobbles pass
-silently.  On top of the baseline comparison, the columnar rows are
-*ratcheted* against the scalar rows of the same fresh run: columnar
-replay and ingest must each stay at least 5x their scalar
-counterparts, so the vectorised fast paths cannot silently decay into
-per-record decoding.
+silently.
 
 Absolute throughput is machine-dependent, so the tolerance exists to
 absorb runner noise, not to excuse regressions: CI uses a wide band to
@@ -43,26 +38,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 #: (section, metric) pairs gated against the baseline.
 GATED = (
-    ("replay", "records_per_sec"),
     ("replay_columnar", "records_per_sec"),
-    ("stream", "records_per_sec"),
     ("stream_columnar", "records_per_sec"),
     ("stream_online_probe", "records_per_sec"),
     ("stream_fabric", "records_per_sec"),
     ("query_service", "queries_per_sec"),
 )
-
-#: (columnar section, scalar section, minimum ratio) ratchets: the
-#: fresh run's columnar throughput must stay at least this many times
-#: its scalar counterpart.  Both figures come from the same run on the
-#: same machine, so no tolerance band applies -- a columnar path that
-#: degrades to scalar speed fails even when both rows beat the
-#: baseline.
-RATCHETS = (
-    ("replay_columnar", "replay", 5.0),
-    ("stream_columnar", "stream", 5.0),
-)
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -134,23 +115,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"{section}.{metric} dropped {-delta_pct:.1f}% "
                 f"(> {100.0 * args.tolerance:.0f}% tolerance)"
-            )
-    for fast_section, slow_section, minimum in RATCHETS:
-        fast = fresh.get(fast_section, {}).get("records_per_sec")
-        slow = fresh.get(slow_section, {}).get("records_per_sec")
-        if fast is None or slow is None or not slow:
-            failures.append(
-                f"{fast_section} vs {slow_section}: missing from fresh run"
-            )
-            continue
-        ratio = fast / slow
-        verdict = "ok" if ratio >= minimum else "FAIL"
-        print(f"{fast_section}: {ratio:.1f}x {slow_section} "
-              f"[ratchet >= {minimum:.0f}x] {verdict}")
-        if ratio < minimum:
-            failures.append(
-                f"{fast_section} is only {ratio:.1f}x {slow_section} "
-                f"(ratchet requires >= {minimum:.0f}x)"
             )
     if failures:
         for failure in failures:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Record a machine-readable replay-throughput baseline.
 
-Runs the batched-replay hot path (the repo's perf-critical loop) a few
+Runs the column-replay hot path (the repo's perf-critical loop) a few
 times over a cached trace and writes the best observed throughput to a
 JSON baseline file (``BENCH_baseline.json`` at the repo root by
 default).  The committed baseline gives regression gating something to
@@ -16,22 +16,19 @@ row (the sharded pipeline of :mod:`repro.stream` over the same cached
 trace), so stream-engine regressions gate the same way replay
 regressions do (``scripts/check_bench.py``).
 
-Seven throughput rows are recorded.  ``replay`` is the *scalar v1
-path*: the cached (v2) trace is converted to a temporary v1 file and
-replayed through the per-record decoder, so the row keeps measuring
-what it always measured; ``stream`` runs the engine with its columnar
-source disabled (per-record decode and routing).  ``replay_columnar``
-and ``stream_columnar`` run the same observers over the columnar
-zero-copy path; ``check_bench.py`` ratchets the columnar rows to stay
-at least 5x their scalar counterparts.  ``stream_fabric`` runs the
-same stream through the supervised worker-*process* fabric
-(``--fabric-workers``, default 4), gating the multiprocessing path's
-throughput alongside the in-process ones.  ``stream_online_probe``
-runs the columnar stream with the online probe scheduler enabled
-(heartbeat, 1 probe/s on port 80), gating the probing hot path --
-probe dispatch interleaved with ingest plus active-evidence folding --
-so enabling probing cannot silently tax ingest.  ``query_service`` measures
-the live query service: ``--query-clients`` concurrent asyncio
+Five rows are recorded.  ``replay_columnar`` runs the observers over
+the cached trace through the column replay loop
+(:func:`repro.passive.monitor.replay`), with telemetry off and then on,
+so the row carries the observability overhead; ``stream_columnar``
+runs the sharded streaming engine over the same trace.
+``stream_fabric`` runs the same stream through the supervised
+worker-*process* fabric (``--fabric-workers``, default 4), gating the
+multiprocessing path's throughput alongside the in-process ones.
+``stream_online_probe`` runs the stream with the online probe scheduler
+enabled (heartbeat, 1 probe/s on port 80), gating the probing hot path
+-- probe dispatch interleaved with ingest plus active-evidence folding
+-- so enabling probing cannot silently tax ingest.  ``query_service``
+measures the live query service: ``--query-clients`` concurrent asyncio
 clients issue ``--query-requests`` mixed HTTP queries against a
 :class:`repro.query.QueryService` while the streaming engine ingests
 the same trace and publishes snapshots, recording ``queries_per_sec``
@@ -48,7 +45,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -69,39 +65,26 @@ def fresh_observers(dataset):
     return table, ExternalScanDetector(is_campus=dataset.is_campus)
 
 
-def timed_pass(trace_path, dataset) -> tuple[int, float]:
-    from repro.passive.monitor import replay_batched
-    from repro.trace.format import read_records_chunked
-
-    started = time.perf_counter()
-    count = replay_batched(
-        read_records_chunked(trace_path), *fresh_observers(dataset)
-    )
-    return count, time.perf_counter() - started
-
-
 def timed_columnar_pass(trace_path, dataset) -> tuple[int, float]:
     """One zero-copy columnar replay over the cached v2 trace."""
-    from repro.passive.monitor import replay_columnar
+    from repro.passive.monitor import replay
     from repro.trace.columnar import read_trace_columns
 
     started = time.perf_counter()
-    count = replay_columnar(
+    count = replay(
         read_trace_columns(trace_path), *fresh_observers(dataset)
     )
     return count, time.perf_counter() - started
 
 
-def timed_stream_pass(
-    args, dataset, shards: int, columnar: bool
-) -> tuple[int, float]:
+def timed_stream_pass(args, dataset, shards: int) -> tuple[int, float]:
     """One full streaming-ingest run (sharded pipeline, cached trace)."""
     from repro.stream import StreamConfig, StreamEngine
 
     engine = StreamEngine(
         StreamConfig(
             dataset=args.dataset, seed=args.seed, scale=args.scale,
-            shards=shards, columnar=columnar,
+            shards=shards,
         ),
         dataset=dataset,
     )
@@ -127,7 +110,7 @@ def timed_online_probe_pass(
     engine = StreamEngine(
         StreamConfig(
             dataset=args.dataset, seed=args.seed, scale=args.scale,
-            shards=shards, columnar=True,
+            shards=shards,
             probe_policy="heartbeat", probe_rate=1.0, probe_ports=(80,),
         ),
         dataset=dataset,
@@ -267,79 +250,62 @@ def main(argv: list[str] | None = None) -> int:
         print("record_bench needs the trace cache enabled "
               "(set REPRO_TRACE_CACHE)", file=sys.stderr)
         return 1
-    from repro.trace.columnar import convert_trace
-
     dataset = build_dataset(args.dataset, seed=args.seed, scale=args.scale)
     # Warm pass records the (columnar v2) trace on first use; discard
     # its timing.
     dataset.replay(*fresh_observers(dataset))
     trace_path = cache.lookup(dataset.trace_cache_key)
     assert trace_path is not None, "warm pass should have recorded the trace"
-    # The scalar replay rows run over a v1 conversion of the trace so
-    # they keep measuring the per-record decode path.
-    with tempfile.TemporaryDirectory() as tmp:
-        v1_path = Path(tmp) / "bench-v1.rprt"
-        convert_trace(trace_path, v1_path, to_version=1)
 
-        set_registry(NullRegistry())
-        disabled = [timed_pass(v1_path, dataset) for _ in range(args.repeats)]
-        set_registry(MetricRegistry())
-        enabled = [timed_pass(v1_path, dataset) for _ in range(args.repeats)]
-        set_registry(NullRegistry())
-        columnar = [
-            timed_columnar_pass(trace_path, dataset)
-            for _ in range(args.repeats)
-        ]
-        streamed = [
-            timed_stream_pass(args, dataset, args.stream_shards, False)
-            for _ in range(args.repeats)
-        ]
-        stream_columnar = [
-            timed_stream_pass(args, dataset, args.stream_shards, True)
-            for _ in range(args.repeats)
-        ]
-        online = [
-            timed_online_probe_pass(args, dataset, args.stream_shards)
-            for _ in range(args.repeats)
-        ]
-        fabric = [
-            timed_fabric_pass(args, dataset, args.fabric_workers)
-            for _ in range(args.repeats)
-        ]
-        queried = [
-            timed_query_pass(
-                args, dataset, args.query_clients, args.query_requests
-            )
-            for _ in range(args.repeats)
-        ]
-        v1_bytes = v1_path.stat().st_size
+    set_registry(NullRegistry())
+    columnar = [
+        timed_columnar_pass(trace_path, dataset) for _ in range(args.repeats)
+    ]
+    set_registry(MetricRegistry())
+    enabled = [
+        timed_columnar_pass(trace_path, dataset) for _ in range(args.repeats)
+    ]
+    set_registry(NullRegistry())
+    stream_columnar = [
+        timed_stream_pass(args, dataset, args.stream_shards)
+        for _ in range(args.repeats)
+    ]
+    online = [
+        timed_online_probe_pass(args, dataset, args.stream_shards)
+        for _ in range(args.repeats)
+    ]
+    fabric = [
+        timed_fabric_pass(args, dataset, args.fabric_workers)
+        for _ in range(args.repeats)
+    ]
+    queried = [
+        timed_query_pass(
+            args, dataset, args.query_clients, args.query_requests
+        )
+        for _ in range(args.repeats)
+    ]
 
-    records = disabled[0][0]
+    records = columnar[0][0]
+    assert all(count == records for count, _ in columnar + enabled)
+    stream_records = stream_columnar[0][0]
     assert all(
-        count == records for count, _ in disabled + enabled + columnar
-    )
-    stream_records = streamed[0][0]
-    assert all(
-        count == stream_records
-        for count, _ in streamed + stream_columnar + fabric
+        count == stream_records for count, _ in stream_columnar + fabric
     )
     assert all(count == stream_records for count, _, _ in online)
     probes_issued = online[0][2]
     assert all(issued == probes_issued for _, _, issued in online)
-    best_stream = min(seconds for _, seconds in streamed)
     best_stream_columnar = min(seconds for _, seconds in stream_columnar)
     best_online = min(seconds for _, seconds, _ in online)
     best_fabric = min(seconds for _, seconds in fabric)
     query_total = queried[0][0]
     assert all(count == query_total for count, _ in queried)
     best_query = min(seconds for _, seconds in queried)
-    best_disabled = min(seconds for _, seconds in disabled)
-    best_enabled = min(seconds for _, seconds in enabled)
     best_columnar = min(seconds for _, seconds in columnar)
-    overhead_pct = 100.0 * (best_enabled - best_disabled) / best_disabled
+    best_enabled = min(seconds for _, seconds in enabled)
+    overhead_pct = 100.0 * (best_enabled - best_columnar) / best_columnar
 
     baseline = {
-        "version": 2,
+        "version": 3,
         "recorded_unix": int(time.time()),
         "dataset": args.dataset,
         "scale": args.scale,
@@ -347,27 +313,14 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": args.repeats,
         "git_sha": git_sha(),
         "python_version": sys.version.split()[0],
-        "replay": {
-            "records": records,
-            "trace_bytes": v1_bytes,
-            "best_seconds": round(best_disabled, 4),
-            "records_per_sec": round(records / best_disabled, 1),
-            "telemetry_best_seconds": round(best_enabled, 4),
-            "telemetry_records_per_sec": round(records / best_enabled, 1),
-            "telemetry_overhead_pct": round(overhead_pct, 2),
-        },
         "replay_columnar": {
             "records": records,
             "trace_bytes": trace_path.stat().st_size,
             "best_seconds": round(best_columnar, 4),
             "records_per_sec": round(records / best_columnar, 1),
-            "speedup_vs_scalar": round(best_disabled / best_columnar, 2),
-        },
-        "stream": {
-            "records": stream_records,
-            "shards": args.stream_shards,
-            "best_seconds": round(best_stream, 4),
-            "records_per_sec": round(stream_records / best_stream, 1),
+            "telemetry_best_seconds": round(best_enabled, 4),
+            "telemetry_records_per_sec": round(records / best_enabled, 1),
+            "telemetry_overhead_pct": round(overhead_pct, 2),
         },
         "stream_columnar": {
             "records": stream_records,
@@ -375,9 +328,6 @@ def main(argv: list[str] | None = None) -> int:
             "best_seconds": round(best_stream_columnar, 4),
             "records_per_sec": round(
                 stream_records / best_stream_columnar, 1
-            ),
-            "speedup_vs_scalar": round(
-                best_stream / best_stream_columnar, 2
             ),
         },
         "stream_online_probe": {
@@ -408,15 +358,10 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
     print(f"wrote {out}: {records:,} records, "
-          f"{baseline['replay']['records_per_sec']:,.0f} rec/s scalar / "
-          f"{baseline['replay_columnar']['records_per_sec']:,.0f} rec/s "
-          f"columnar "
-          f"({baseline['replay_columnar']['speedup_vs_scalar']:.1f}x, "
-          f"telemetry overhead {overhead_pct:+.2f}%), "
-          f"stream {baseline['stream']['records_per_sec']:,.0f} / "
-          f"{baseline['stream_columnar']['records_per_sec']:,.0f} rec/s "
-          f"({args.stream_shards} shards, "
-          f"{baseline['stream_columnar']['speedup_vs_scalar']:.1f}x), "
+          f"replay {baseline['replay_columnar']['records_per_sec']:,.0f} rec/s "
+          f"(telemetry overhead {overhead_pct:+.2f}%), "
+          f"stream {baseline['stream_columnar']['records_per_sec']:,.0f} rec/s "
+          f"({args.stream_shards} shards), "
           f"online probe "
           f"{baseline['stream_online_probe']['records_per_sec']:,.0f} rec/s "
           f"({probes_issued:,} probes interleaved), "

@@ -136,9 +136,9 @@ class CampusTopology:
         def is_campus(address: int) -> bool:
             return (address & mask) == network
 
-        # Columnar observers (observe_columns fast paths) read these to
-        # vectorise the membership test over whole address arrays; a
-        # predicate without them falls back to the scalar path.
+        # Columnar observers read these to vectorise the membership
+        # test over whole address arrays; a predicate without them is
+        # called once per address (repro.passive.monitor.campus_mask).
         is_campus.campus_network = network
         is_campus.campus_mask = mask
         return is_campus

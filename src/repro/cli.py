@@ -412,7 +412,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.datasets import build_dataset
     from repro.simkernel.clock import days
     from repro.trace.anonymize import Anonymizer
-    from repro.trace.columnar import ColumnarTraceWriter
+    from repro.trace.columnar import DEFAULT_CHUNK_RECORDS, ColumnarTraceWriter
     from repro.trace.format import TraceWriter
 
     dataset = build_dataset(args.dataset, seed=args.seed, scale=args.scale)
@@ -424,10 +424,11 @@ def cmd_record(args: argparse.Namespace) -> int:
     )
     writer_cls = TraceWriter if args.format_version == 1 else ColumnarTraceWriter
     with writer_cls.open(args.out) as writer:
-        for record in dataset.packet_stream(end=end):
-            if anonymizer is not None:
-                record = anonymizer.anonymize(record)
-            writer.write(record)
+        for batch in dataset.record_batches(end, batch_records=DEFAULT_CHUNK_RECORDS):
+            for record in batch.to_records():
+                if anonymizer is not None:
+                    record = anonymizer.anonymize(record)
+                writer.write(record)
         count = writer.records_written
     suffix = " (anonymised)" if anonymizer else ""
     print(f"wrote {count:,} records to {args.out}{suffix}")

@@ -12,8 +12,10 @@ replay time so any number of observers can share one pass.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator
 
 from repro.active.prober import HalfOpenScanner, ScannerConfig
@@ -40,8 +42,13 @@ from repro.simkernel.clock import Calendar, hours
 from repro.simkernel.rng import RngStreams, derive_seed
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.trace.cache import default_trace_cache
-from repro.trace.columnar import ColumnarTraceWriter, read_trace_columns
-from repro.trace.format import read_records_chunked
+from repro.trace.columnar import (
+    DEFAULT_CHUNK_RECORDS,
+    ColumnarTraceWriter,
+    RecordColumns,
+    read_trace_columns,
+)
+from repro.trace.format import DEFAULT_BATCH_RECORDS
 from repro.traffic.generator import (
     GENERATOR_VERSION,
     TrafficMix,
@@ -149,34 +156,104 @@ class BuiltDataset:
     def _full_pass(self, end: float | None) -> bool:
         return end is None or end >= self.duration
 
-    def packet_stream(self, end: float | None = None) -> Iterator[PacketRecord]:
-        """One pass over the border capture (deterministic).
+    def record_batches(
+        self,
+        end: float | None = None,
+        skip: int = 0,
+        batch_records: int = DEFAULT_BATCH_RECORDS,
+    ) -> Iterator[RecordColumns]:
+        """One pass over the border capture as column batches.
 
-        Full-duration passes are served from the record-once trace
-        cache when a recording exists; partial passes and cache misses
-        regenerate the stream.  Either way the records are identical.
+        Batches hold at most *batch_records* rows and start *skip*
+        records into the pass.  Full-duration passes are served from
+        the record-once trace cache when a recording exists (zero-copy
+        slices of the mapped file); partial passes and cache misses
+        regenerate the traffic and columnise it batch by batch.  The
+        records are identical either way, so a resumed run continues
+        the exact stream the killed run was consuming.
         """
-        if self._full_pass(end):
-            cached = default_trace_cache().lookup(self.trace_cache_key)
+        return self._open_pass(end, skip, batch_records, record=False)[1]
+
+    def _open_pass(
+        self, end: float | None, skip: int, batch_records: int, record: bool
+    ) -> tuple[str, Iterator[RecordColumns]]:
+        """The origin (``"cached"``, ``"recorded"`` or ``"generated"``)
+        and the batches of one pass; see :meth:`record_batches`.
+
+        With *record*, a full pass that misses the cache records the
+        generated trace into it as the batches flow.
+        """
+        cache = default_trace_cache()
+        if cache.enabled and self._full_pass(end):
+            cached = cache.lookup(self.trace_cache_key)
             if cached is not None:
-                return (
-                    record
-                    for batch in read_records_chunked(cached)
-                    for record in batch
-                )
-        return self._generate_stream(end)
+                return "cached", read_trace_columns(cached, batch_records, skip)
+            if record:
+                return "recorded", self._recorded_batches(cache)
+        return "generated", self._generated_batches(end, skip, batch_records)
+
+    def _generated_batches(
+        self, end: float | None, skip: int, batch_records: int
+    ) -> Iterator[RecordColumns]:
+        """Regenerate the pass and columnise it *batch_records* at a time.
+
+        Skipped records feed no observer, so skipping them is cheap.
+        """
+        stream = self._generate_stream(end)
+        if skip:
+            next(islice(stream, skip - 1, skip), None)
+        while True:
+            batch = RecordColumns.from_records(islice(stream, batch_records))
+            if not len(batch):
+                return
+            yield batch
+
+    def _recorded_batches(self, cache) -> Iterator[RecordColumns]:
+        """The generated batches, written into the cache as they flow.
+
+        Each batch is written before it is yielded, so the recording
+        sits *before* any fault filter: the cache holds ground truth,
+        the observers see the lossy capture.  A batch is one writer
+        chunk, which lays out the same bytes as writing the records
+        one by one.  A pass abandoned before the end (an observer
+        raises, or the consumer closes the generator) discards the
+        partial file, so no cache entry appears.  When the build's
+        fault plan injects storage faults, the freshly committed entry
+        may be truncated in place -- the next lookup then detects the
+        damage, evicts, and regenerates, exercising the recovery path
+        end to end.
+        """
+        batches = self._generated_batches(None, 0, DEFAULT_CHUNK_RECORDS)
+        try:
+            pending = cache.begin_write(self.trace_cache_key)
+        except OSError:
+            # Unwritable cache directory: serve the pass without recording.
+            yield from batches
+            return
+        try:
+            with ColumnarTraceWriter.open(pending.tmp_path) as writer:
+                for batch in batches:
+                    writer.write_columns(batch)
+                    yield batch
+            final = pending.commit()
+        except BaseException:
+            pending.abort()
+            raise
+        if self.faults is not None:
+            self.faults.maybe_corrupt_trace(final, self.trace_cache_key)
 
     def replay(self, *observers, end: float | None = None, faults=None) -> int:
         """Feed one pass into *observers*; return the record count.
 
         Record-once/analyze-many: the first full-duration replay
-        generates the traffic, spilling it through the trace writer
-        into the cache while the observers consume it; every later
-        full-duration replay streams the stored trace back through the
-        batched reader (:func:`repro.passive.monitor.replay_batched`).
+        generates the traffic, writing it into the trace cache while
+        the observers consume it; every later full-duration replay
+        reads the stored trace back as zero-copy column batches.
         Partial replays (``end`` before the dataset end) always
         regenerate -- truncated generation is not a prefix of the full
-        stream.  Observer results are identical on every path.
+        stream.  Every origin feeds the one pass loop,
+        :func:`repro.passive.monitor.replay`, so observer results are
+        identical on every path.
 
         *faults* (a fresh :class:`repro.faults.capture.CaptureFilter`,
         usually ``plan.capture_filter(dataset.duration)``) drops
@@ -184,14 +261,8 @@ class BuiltDataset:
         -- lossy capture over ground-truth traffic.  The cache always
         records the unfaulted stream, so one recording serves every
         loss rate, and the returned count is what the observers saw.
-
-        Cached passes are served as zero-copy column batches
-        (:func:`repro.passive.monitor.replay_columnar`): observers with
-        an ``observe_columns`` fast path consume the arrays directly;
-        the rest receive the identical ``PacketRecord`` batches via
-        the scalar fallback.
         """
-        from repro.passive.monitor import replay as _replay, replay_columnar
+        from repro.passive.monitor import replay as _replay
         from time import perf_counter
 
         cache = default_trace_cache()
@@ -206,19 +277,11 @@ class BuiltDataset:
             tap = ReplayTap()
             observers = tuple(observers) + (tap,)
         started = perf_counter()
-        if cache.enabled and self._full_pass(end):
-            cached = cache.lookup(self.trace_cache_key)
-            if cached is not None:
-                source = "cached"
-                count = replay_columnar(
-                    read_trace_columns(cached), *observers, faults=faults
-                )
-            else:
-                source = "recorded"
-                count = self._replay_and_record(cache, observers, faults)
-        else:
-            source = "generated"
-            count = _replay(self._generate_stream(end), *observers, faults=faults)
+        source, batches = self._open_pass(
+            end, 0, DEFAULT_CHUNK_RECORDS, record=True
+        )
+        with closing(batches):
+            count = _replay(batches, *observers, faults=faults)
         elapsed = perf_counter() - started
         cache.stats.note_replay(count, elapsed)
         if tap is not None:
@@ -257,45 +320,6 @@ class BuiltDataset:
                     "repro_replay_records_per_sec",
                     "Throughput of the most recent replay pass.",
                 ).set(count / elapsed)
-        return count
-
-    def _replay_and_record(self, cache, observers, faults=None) -> int:
-        """First full pass: tee the generated stream into the cache.
-
-        The tee sits *before* the fault filter: the cache records
-        ground truth, the observers see the lossy capture.  When the
-        build's fault plan injects storage faults, the freshly
-        committed entry may be truncated in place -- the next lookup
-        then detects the damage, evicts, and regenerates, exercising
-        the recovery path end to end.
-
-        Recordings are written in the columnar v2 format; the cache
-        key embeds the format version, so older v1 entries are simply
-        never looked up again rather than misread.
-        """
-        from repro.passive.monitor import replay as _replay
-
-        try:
-            pending = cache.begin_write(self.trace_cache_key)
-        except OSError:
-            # Unwritable cache directory: serve the pass without recording.
-            return _replay(self._generate_stream(), *observers, faults=faults)
-        try:
-            with ColumnarTraceWriter.open(pending.tmp_path) as writer:
-                write = writer.write
-
-                def tee() -> Iterator[PacketRecord]:
-                    for record in self._generate_stream():
-                        write(record)
-                        yield record
-
-                count = _replay(tee(), *observers, faults=faults)
-            final = pending.commit()
-        except BaseException:
-            pending.abort()
-            raise
-        if self.faults is not None:
-            self.faults.maybe_corrupt_trace(final, self.trace_cache_key)
         return count
 
     def scan_windows(self) -> list[tuple[float, float]]:

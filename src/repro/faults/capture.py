@@ -147,7 +147,11 @@ class CaptureFilter:
         return True
 
     def filter_batch(self, records: list[PacketRecord]) -> list[PacketRecord]:
-        """Batch counterpart of :meth:`keep` (same decisions, in order)."""
+        """:meth:`keep` over a record list (same decisions, in order).
+
+        Nothing in the pipeline filters record lists; this is kept
+        because ``perfbench/layers.py`` wraps it by name.
+        """
         keep = self.keep
         return [record for record in records if keep(record)]
 
@@ -160,9 +164,9 @@ class CaptureFilter:
         and ``link`` columns, as lists); *link_names* decodes the
         indices.  The decision loop is the exact scalar core --
         per-link RNG streams advance record by record in stream order
-        -- so the drop pattern is bit-identical to filtering the same
-        records through :meth:`filter_batch`, without materialising a
-        single ``PacketRecord``.
+        -- so the drop pattern is bit-identical to calling :meth:`keep`
+        on the same records, without materialising a single
+        ``PacketRecord``.
         """
         import numpy as np
 
@@ -172,6 +176,13 @@ class CaptureFilter:
              for time, index in zip(times, link_indices)),
             dtype=bool, count=len(times),
         )
+
+    def keep_rows(self, cols):
+        """The rows of a :class:`repro.trace.columnar.RecordColumns`
+        batch the monitors see (:meth:`keep_mask` applied)."""
+        mask = self.keep_mask(cols.time.tolist(), cols.link.tolist(),
+                              cols.link_names)
+        return cols if mask.all() else cols.compress(mask)
 
     # ---- checkpoint support -------------------------------------------
 

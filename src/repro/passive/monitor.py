@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from time import perf_counter
 from typing import Callable, Iterable, Protocol
 
 import numpy as np
@@ -31,39 +32,35 @@ Endpoint = tuple[int, int, int]  # (address, port, proto)
 class PacketObserver(Protocol):
     """Anything that can consume captured packet records.
 
-    Observers may additionally expose ``observe_batch(records)``
-    consuming a list at a time; the batched replay engine prefers it
-    and falls back to per-record ``observe`` otherwise.  A batch
-    implementation must be behaviourally identical to calling
-    ``observe`` on each record in order.
-
-    Observers may further expose ``observe_columns(cols)`` consuming a
-    :class:`repro.trace.columnar.RecordColumns` batch; the columnar
-    replay engine (:func:`replay_columnar`) prefers it and otherwise
-    materialises the batch once (shared across all scalar observers of
-    the pass) and feeds ``observe_batch``.  The scalar-fallback
-    contract: ``observe_columns(cols)`` must be behaviourally identical
-    to ``observe_batch(cols.to_records())``, and an implementation that
-    cannot vectorise a configuration must delegate to exactly that.
+    Two methods, one contract.  ``observe(record)`` is the scalar state
+    machine: the reference semantics, and the oracle the tests compare
+    against.  ``observe_columns(cols)`` (optional) consumes one
+    :class:`repro.trace.columnar.RecordColumns` batch and is the only
+    entry the pipeline uses; it must leave the observer in exactly the
+    state ``observe`` reaches on each row of the batch in order.  An
+    observer without ``observe_columns`` gets ``observe`` per record
+    from :func:`replay`.
     """
 
     def observe(self, record: PacketRecord) -> None:  # pragma: no cover
         ...
 
 
-def _campus_params(is_campus) -> tuple[int, int] | None:
-    """The (network, mask) of a vectorisable campus predicate.
+def campus_mask(is_campus: Callable[[int], bool], addresses: np.ndarray) -> np.ndarray:
+    """``is_campus`` over an address column, as a boolean mask.
 
     :meth:`repro.campus.topology.CampusTopology.campus_predicate`
-    stamps its prefix parameters onto the closure; any predicate
-    without them (tests hand in arbitrary lambdas) is opaque, and the
-    caller must take its scalar path.
+    stamps its prefix parameters onto the closure, which makes the
+    mask one compare; any other predicate (tests hand in arbitrary
+    lambdas) is called once per address.
     """
     network = getattr(is_campus, "campus_network", None)
     mask = getattr(is_campus, "campus_mask", None)
     if network is None or mask is None:
-        return None
-    return network, mask
+        return np.fromiter(
+            map(is_campus, addresses.tolist()), dtype=bool, count=len(addresses)
+        )
+    return (addresses & mask) == network
 
 
 def _link_lut(link_names: tuple[str, ...], links: frozenset[str]) -> np.ndarray:
@@ -73,6 +70,14 @@ def _link_lut(link_names: tuple[str, ...], links: frozenset[str]) -> np.ndarray:
         if name in links:
             lut[index] = True
     return lut
+
+
+def _feed_rows(cols, rows: np.ndarray, observe: Callable[[PacketRecord], None]) -> None:
+    """Feed the *rows* mask's records, in stream order, to *observe*."""
+    index = np.flatnonzero(rows)
+    if index.size:
+        for record in cols.take(index).to_records():
+            observe(record)
 
 
 def _group_min_into(
@@ -100,82 +105,36 @@ def _group_min_into(
             first_seen[endpoint] = seen
 
 
-def replay(
-    stream: Iterable[PacketRecord],
-    *observers: PacketObserver,
-    faults=None,
-) -> int:
-    """Push every record of *stream* into all *observers*; return count.
+def replay(batches: Iterable, *observers: PacketObserver, faults=None) -> int:
+    """Feed :class:`~repro.trace.columnar.RecordColumns` *batches* into
+    all *observers*; return the record count.
 
-    One pass feeds any number of observers, so analyses that need
-    several views (per-link tables, sampled tables, scan detection)
-    share a single traversal of the trace.
+    The one pass loop: a single traversal of the stream feeds any
+    number of observers, so analyses that need several views (per-link
+    tables, sampled tables, scan detection) share one pass.  Observers
+    with ``observe_columns`` consume each batch whole; the rest get
+    ``observe`` per record, materialised once per batch for all of
+    them.
 
     *faults* (a :class:`repro.faults.capture.CaptureFilter`) injects
     capture loss and monitor outages: dropped records are invisible to
     *every* observer of the pass, exactly as a packet lost at the tap
-    is lost for all analyses of the stored trace.  The returned count
-    is the number of records the observers actually saw.  ``None``
-    (the default) takes the pristine path.
+    is lost for all analyses of the stored trace.  The filter decides
+    record by record in stream order, so the drop pattern does not
+    depend on the batching.  The returned count is the number of
+    records the observers actually saw.
+
+    With telemetry enabled, each batch's wall time lands in a
+    histogram; with it off, the cost is a ``None`` test around each
+    batch.
     """
-    if faults is not None:
-        keep = faults.keep
-        stream = (record for record in stream if keep(record))
-    count = 0
-    observe_methods = [observer.observe for observer in observers]
-    for record in stream:
-        for observe in observe_methods:
-            observe(record)
-        count += 1
-    return count
-
-
-def _batch_adapter(observe: Callable[[PacketRecord], None]):
-    """Wrap a per-record ``observe`` as a batch consumer."""
-
-    def observe_batch(records: list[PacketRecord]) -> None:
-        for record in records:
-            observe(record)
-
-    return observe_batch
-
-
-def replay_batched(
-    batches: Iterable[list[PacketRecord]],
-    *observers: PacketObserver,
-    faults=None,
-) -> int:
-    """Feed record *batches* into all *observers*; return the record count.
-
-    The batched counterpart of :func:`replay`, built for cached-trace
-    replay: the reader decodes records in chunks
-    (:func:`repro.trace.format.read_records_chunked`) and each observer
-    consumes a whole chunk per call.  Observers providing
-    ``observe_batch`` pay one Python call per batch instead of one per
-    record, and their batch loops hoist the direction/port/link
-    pre-filters into local variables, so records an observer would
-    discard cost a few comparisons rather than a method dispatch.
-
-    Results are identical to :func:`replay` over the flattened stream,
-    including under a *faults* filter: the filter consumes records in
-    stream order either way, so the drop pattern matches the
-    record-at-a-time path bit for bit.
-    """
-    count = 0
-    dispatchers = []
+    dispatch = []
     for observer in observers:
-        batch_method = getattr(observer, "observe_batch", None)
-        if batch_method is None:
-            batch_method = _batch_adapter(observer.observe)
-        dispatchers.append(batch_method)
-    filter_batch = faults.filter_batch if faults is not None else None
+        method = getattr(observer, "observe_columns", None)
+        dispatch.append((method, True) if method else (observer.observe, False))
     reg = _telemetry_registry()
+    chunk_seconds = chunks = None
     if reg.enabled:
-        # Instrumented copy of the loop below: per-chunk wall timings
-        # land in a histogram.  Kept on a separate branch so the
-        # disabled path runs exactly the code it always did.
-        from time import perf_counter
-
         chunk_seconds = reg.histogram(
             "repro_replay_chunk_seconds",
             "Wall time to dispatch one decoded chunk to all observers.",
@@ -184,106 +143,26 @@ def replay_batched(
             "repro_replay_chunks_total",
             "Decoded chunks dispatched by batched replay.",
         )
-        for batch in batches:
-            chunk_start = perf_counter()
-            if filter_batch is not None:
-                batch = filter_batch(batch)
-            for dispatch in dispatchers:
-                dispatch(batch)
-            count += len(batch)
-            chunk_seconds.observe(perf_counter() - chunk_start)
-            chunks.inc()
-        return count
-    for batch in batches:
-        if filter_batch is not None:
-            batch = filter_batch(batch)
-        for dispatch in dispatchers:
-            dispatch(batch)
-        count += len(batch)
-    return count
-
-
-def replay_columnar(
-    batches,
-    *observers: PacketObserver,
-    faults=None,
-) -> int:
-    """Feed :class:`~repro.trace.columnar.RecordColumns` batches into
-    all *observers*; return the record count.
-
-    The columnar counterpart of :func:`replay_batched`, built for the
-    v2 trace format: the reader hands out zero-copy column views
-    (:func:`repro.trace.columnar.read_trace_columns`) and observers
-    exposing ``observe_columns`` consume whole field arrays --
-    mask-based SYN-ACK selection, bincount accounting -- instead of
-    record objects.  Observers without a columnar path get the batch
-    materialised as records exactly once per batch (the list is cached
-    on the batch), so mixing vectorised and scalar observers costs one
-    decode, not one per observer.
-
-    Results are identical to :func:`replay_batched` over the same
-    stream, including under a *faults* filter: the filter's decision
-    loop consumes (link, time) pairs in stream order
-    (:meth:`repro.faults.capture.CaptureFilter.keep_mask`), so the drop
-    pattern matches the scalar paths bit for bit.
-    """
-    dispatchers = []
-    for observer in observers:
-        column_method = getattr(observer, "observe_columns", None)
-        if column_method is not None:
-            dispatchers.append((column_method, True))
-            continue
-        batch_method = getattr(observer, "observe_batch", None)
-        if batch_method is None:
-            batch_method = _batch_adapter(observer.observe)
-        dispatchers.append((batch_method, False))
-
-    def deliver(cols) -> None:
-        for dispatch, columnar in dispatchers:
-            if columnar:
-                dispatch(cols)
-            else:
-                dispatch(cols.to_records())
-
     count = 0
-    reg = _telemetry_registry()
-    if reg.enabled:
-        # Mirrors replay_batched's instrumented branch: same metric
-        # names, so dashboards see one replay pipeline.
-        from time import perf_counter
-
-        chunk_seconds = reg.histogram(
-            "repro_replay_chunk_seconds",
-            "Wall time to dispatch one decoded chunk to all observers.",
-        )
-        chunks = reg.counter(
-            "repro_replay_chunks_total",
-            "Decoded chunks dispatched by batched replay.",
-        )
-        for cols in batches:
-            chunk_start = perf_counter()
-            if faults is not None:
-                mask = faults.keep_mask(
-                    cols.time.tolist(), cols.link.tolist(), cols.link_names
-                )
-                if not mask.all():
-                    cols = cols.compress(mask)
-            if len(cols):
-                deliver(cols)
-                count += len(cols)
-            chunk_seconds.observe(perf_counter() - chunk_start)
-            chunks.inc()
-        return count
     for cols in batches:
+        if chunks is not None:
+            chunk_start = perf_counter()
         if faults is not None:
-            mask = faults.keep_mask(
-                cols.time.tolist(), cols.link.tolist(), cols.link_names
-            )
-            if not mask.all():
-                cols = cols.compress(mask)
+            cols = faults.keep_rows(cols)
         if len(cols):
-            deliver(cols)
+            records = None
+            for method, columnar in dispatch:
+                if columnar:
+                    method(cols)
+                    continue
+                if records is None:
+                    records = cols.to_records()
+                for record in records:
+                    method(record)
             count += len(cols)
+        if chunks is not None:
+            chunk_seconds.observe(perf_counter() - chunk_start)
+            chunks.inc()
     return count
 
 
@@ -370,95 +249,15 @@ class PassiveServiceTable:
             self._observe_udp(record)
 
     def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Batched :meth:`observe`: identical results, no per-record calls.
+        """:meth:`observe` over a record list.
 
-        The pre-filters (link, sampler, protocol, direction, port) and
-        the SYN-ACK/ACK bookkeeping of the paper's default SYNACK rule
-        run inline on raw flag integers, so a discarded record costs a
-        few comparisons and a kept one a couple of dict operations --
-        no enum construction or method dispatch per record.  The
-        stricter HANDSHAKE signal and all UDP records take the exact
-        per-record path.
+        Nothing in the pipeline calls it; it is kept because
+        ``perfbench/layers.py`` wraps it by name.
         """
-        links = self.links
-        sampler = self.sampler
-        is_campus = self.is_campus
-        tcp_ports = self.tcp_ports
-        exclude = self.exclude_sources
-        synack_rule = self.signal is ServiceSignal.SYNACK
-        first_seen = self.first_seen
-        flow_counts = self.flow_counts
-        clients = self.clients
-        observe_tcp = self._observe_tcp
-        observe_udp = self._observe_udp
         for record in records:
-            if links is not None and record.link not in links:
-                continue
-            if sampler is not None and not sampler(record.time):
-                continue
-            proto = record.proto
-            if proto == PROTO_TCP:
-                flag_bits = record.flags._value_
-                if flag_bits & 0x02:  # SYN set
-                    if flag_bits & 0x10:  # SYN-ACK: the service signal
-                        if not synack_rule:
-                            observe_tcp(record)
-                            continue
-                        src = record.src
-                        if not is_campus(src) or is_campus(record.dst):
-                            continue
-                        if record.dst in exclude:
-                            continue
-                        sport = record.sport
-                        if tcp_ports is not None and sport not in tcp_ports:
-                            continue
-                        endpoint = (src, sport, PROTO_TCP)
-                        previous = first_seen.get(endpoint)
-                        if previous is None or record.time < previous:
-                            first_seen[endpoint] = record.time
-                    # A bare SYN carries no service evidence.
-                    continue
-                if flag_bits & 0x10:  # bare ACK: flow/client accounting
-                    if not synack_rule:
-                        observe_tcp(record)
-                        continue
-                    src = record.src
-                    dst = record.dst
-                    if is_campus(src) or not is_campus(dst):
-                        continue
-                    if src in exclude:
-                        continue
-                    dport = record.dport
-                    if tcp_ports is not None and dport not in tcp_ports:
-                        continue
-                    endpoint = (dst, dport, PROTO_TCP)
-                    flow_counts[endpoint] = flow_counts.get(endpoint, 0) + 1
-                    served = clients.get(endpoint)
-                    if served is None:
-                        served = clients[endpoint] = set()
-                    served.add(src)
-                # RST and flagless records carry no evidence.
-            elif proto == PROTO_UDP:
-                observe_udp(record)
+            self.observe(record)
 
-    # ---- columnar fast path -----------------------------------------
-
-    def _can_vectorize(self) -> bool:
-        """Whether this table's configuration has a columnar fast path.
-
-        The vectorised path covers the paper's operating point: the
-        SYNACK evidence rule, the SPORT UDP rule, no time sampler, and
-        a prefix-parameterised campus predicate.  Everything else
-        (HANDSHAKE ablation, BIDIRECTIONAL UDP, samplers, opaque
-        predicates) delegates to the scalar batch path -- identical
-        results, per the observer contract.
-        """
-        return (
-            self.sampler is None
-            and self.signal is ServiceSignal.SYNACK
-            and (not self.udp_ports or self.udp_signal is UdpSignal.SPORT)
-            and _campus_params(self.is_campus) is not None
-        )
+    # ---- columnar path ------------------------------------------------
 
     def _ports_array(self, cache_attr: str, ports) -> np.ndarray:
         cached = self.__dict__.get(cache_attr)
@@ -468,30 +267,38 @@ class PassiveServiceTable:
         return cached
 
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: whole-array selection masks.
+        """:meth:`observe` over a batch, by whole-array selection masks.
 
         Consumes a :class:`repro.trace.columnar.RecordColumns` batch.
-        Evidence selection is mask algebra over the raw field arrays
-        (SYN-ACK bits, prefix membership, port sets); dict updates run
-        over the batch's *distinct* endpoints via sorted group
-        reductions, so per-record Python work disappears entirely.
+        Link and sampler filters, SYN-ACK bits, campus membership and
+        port sets are mask algebra over the field arrays; the SYNACK
+        and SPORT rules update the dicts over the batch's *distinct*
+        endpoints via sorted group reductions.  The HANDSHAKE and
+        BIDIRECTIONAL rules are order-dependent state machines: the
+        rows their masks select go, in stream order, to the per-record
+        rules.
         """
-        if not self._can_vectorize():
-            self.observe_batch(cols.to_records())
-            return
-        network, mask = _campus_params(self.is_campus)
         proto = cols.proto
+        base = None
+        if self.links is not None:
+            base = _link_lut(cols.link_names, self.links)[cols.link]
+        if self.sampler is not None:
+            times = cols.time if base is None else cols.time[base]
+            kept = np.fromiter(
+                map(self.sampler, times.tolist()), dtype=bool, count=len(times)
+            )
+            if base is None:
+                base = kept
+            else:
+                base[base] = kept
+        if base is not None and not base.any():
+            return
         flags = cols.flags
         src = cols.src
         dst = cols.dst
         time = cols.time
-        base = None
-        if self.links is not None:
-            base = _link_lut(cols.link_names, self.links)[cols.link]
-            if not base.any():
-                return
-        src_campus = (src & mask) == network
-        dst_campus = (dst & mask) == network
+        src_campus = campus_mask(self.is_campus, src)
+        dst_campus = campus_mask(self.is_campus, dst)
         tcp = proto == PROTO_TCP
         if base is not None:
             tcp &= base
@@ -503,7 +310,7 @@ class PassiveServiceTable:
             )
 
         # SYN-ACK from a campus server to an outside client: the
-        # service-evidence signal (first_seen, min over the batch).
+        # service-evidence signal.
         synack = tcp & ((flags & 0x12) == 0x12)
         synack &= src_campus & ~dst_campus
         if exclude is not None:
@@ -512,13 +319,6 @@ class PassiveServiceTable:
             synack &= np.isin(
                 cols.sport, self._ports_array("_tcp_ports_cache", self.tcp_ports)
             )
-        index = np.flatnonzero(synack)
-        if index.size:
-            keys = (
-                src[index].astype(np.uint64) << np.uint64(16)
-            ) | cols.sport[index]
-            _group_min_into(keys, time[index], PROTO_TCP, self.first_seen)
-
         # Bare ACK from an outside client to a campus server: the
         # flow/client popularity accounting.
         ack = tcp & ((flags & 0x12) == 0x10)
@@ -529,32 +329,49 @@ class PassiveServiceTable:
             ack &= np.isin(
                 cols.dport, self._ports_array("_tcp_ports_cache", self.tcp_ports)
             )
-        index = np.flatnonzero(ack)
-        if index.size:
-            keys = (
-                dst[index].astype(np.uint64) << np.uint64(16)
-            ) | cols.dport[index]
-            self._count_columns(keys, src[index], PROTO_TCP)
+        if self.signal is ServiceSignal.SYNACK:
+            index = np.flatnonzero(synack)
+            if index.size:
+                keys = (
+                    src[index].astype(np.uint64) << np.uint64(16)
+                ) | cols.sport[index]
+                _group_min_into(keys, time[index], PROTO_TCP, self.first_seen)
+            index = np.flatnonzero(ack)
+            if index.size:
+                keys = (
+                    dst[index].astype(np.uint64) << np.uint64(16)
+                ) | cols.dport[index]
+                self._count_columns(keys, src[index], PROTO_TCP)
+        else:
+            _feed_rows(cols, synack | ack, self._observe_tcp)
 
-        # Outbound datagram from a watched UDP server port (SPORT rule):
-        # evidence and accounting in one selection.
-        if self.udp_ports:
-            udp = proto == PROTO_UDP
-            if base is not None:
-                udp &= base
-            udp &= src_campus & ~dst_campus
-            udp &= np.isin(
-                cols.sport, self._ports_array("_udp_ports_cache", self.udp_ports)
-            )
-            if exclude is not None:
-                udp &= ~np.isin(dst, exclude)
-            index = np.flatnonzero(udp)
+        if not self.udp_ports:
+            return
+        udp_ports = self._ports_array("_udp_ports_cache", self.udp_ports)
+        udp = proto == PROTO_UDP
+        if base is not None:
+            udp &= base
+        # Outbound datagram from a watched UDP server port.
+        outbound = udp & src_campus & ~dst_campus
+        outbound &= np.isin(cols.sport, udp_ports)
+        if exclude is not None:
+            outbound &= ~np.isin(dst, exclude)
+        if self.udp_signal is UdpSignal.SPORT:
+            index = np.flatnonzero(outbound)
             if index.size:
                 keys = (
                     src[index].astype(np.uint64) << np.uint64(16)
                 ) | cols.sport[index]
                 _group_min_into(keys, time[index], PROTO_UDP, self.first_seen)
                 self._count_columns(keys, dst[index], PROTO_UDP)
+            return
+        # Inbound request to a watched port: what BIDIRECTIONAL needs
+        # to have seen before a response counts.
+        inbound = udp & ~src_campus & dst_campus
+        inbound &= np.isin(cols.dport, udp_ports)
+        if exclude is not None:
+            inbound &= ~np.isin(src, exclude)
+        _feed_rows(cols, outbound | inbound, self._observe_udp)
 
     def _count_columns(
         self, keys: np.ndarray, clients: np.ndarray, proto: int

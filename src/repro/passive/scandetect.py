@@ -87,36 +87,8 @@ class ExternalScanDetector:
                 return
             self._note(self._rst_sources, (record.dst, window), record.src)
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Batched :meth:`observe`: identical results, hoisted lookups.
-
-        Flag classification uses raw integer bit tests (``SYN`` set and
-        ``ACK`` clear; ``RST`` set) -- the same predicates as
-        ``TcpFlags.is_syn`` / ``is_rst`` without per-record property
-        dispatch.
-        """
-        window_seconds = self.config.window_seconds
-        is_campus = self.is_campus
-        targets = self._targets
-        rst_sources = self._rst_sources
-        note = self._note
-        for record in records:
-            if record.proto != PROTO_TCP:
-                continue
-            flags = record.flags._value_
-            if flags & 0x02 and not flags & 0x10:  # SYN without ACK
-                if is_campus(record.src) or not is_campus(record.dst):
-                    continue
-                window = int(record.time // window_seconds)
-                note(targets, (record.src, window), record.dst)
-            elif flags & 0x04:  # RST
-                if not is_campus(record.src) or is_campus(record.dst):
-                    continue
-                window = int(record.time // window_seconds)
-                note(rst_sources, (record.dst, window), record.src)
-
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: SYN/RST selection masks and
+        """Columnar :meth:`observe`: SYN/RST selection masks and
         dedup before the bucket updates.
 
         Buckets hold *distinct* members, so only the batch's unique
@@ -126,21 +98,16 @@ class ExternalScanDetector:
         """
         import numpy as np
 
-        from repro.passive.monitor import _campus_params
+        from repro.passive.monitor import campus_mask
 
-        params = _campus_params(self.is_campus)
-        if params is None:
-            self.observe_batch(cols.to_records())
-            return
-        network, mask = params
         tcp = cols.proto == PROTO_TCP
         if not tcp.any():
             return
         flags = cols.flags
         src = cols.src
         dst = cols.dst
-        src_campus = (src & mask) == network
-        dst_campus = (dst & mask) == network
+        src_campus = campus_mask(self.is_campus, src)
+        dst_campus = campus_mask(self.is_campus, dst)
         window = (
             cols.time // self.config.window_seconds
         ).astype(np.int64)

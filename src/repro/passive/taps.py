@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.net.packet import PacketRecord
 from repro.passive.monitor import PassiveServiceTable, ServiceSignal
 
@@ -66,28 +68,24 @@ class LinkTap:
             return
         self.table.observe(record)
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        if self.faults is not None:
-            link = self.link
-            keep = self.faults.keep
-            records = [
-                record
-                for record in records
-                if record.link != link or keep(record)
-            ]
-        self.table.observe_batch(records)
-
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch` (the table filters by link).
+        """Columnar :meth:`observe` (the table filters by link).
 
-        A tap-level fault filter must see exactly this link's records
-        in stream order, which the scalar comprehension already
-        guarantees; with faults present the batch falls back to the
-        record path rather than re-deriving that contract here.
+        A tap-level fault filter decides only this link's rows, in
+        stream order, so its loss state advances exactly as under
+        :meth:`observe`.
         """
-        if self.faults is not None:
-            self.observe_batch(cols.to_records())
-            return
+        faults = self.faults
+        if faults is not None and self.link in cols.link_names:
+            rows = np.flatnonzero(cols.link == cols.link_names.index(self.link))
+            if rows.size:
+                keep = np.ones(len(cols), dtype=bool)
+                keep[rows] = faults.keep_mask(
+                    cols.time[rows].tolist(), cols.link[rows].tolist(),
+                    cols.link_names,
+                )
+                if not keep.all():
+                    cols = cols.compress(keep)
         self.table.observe_columns(cols)
 
 
@@ -130,29 +128,11 @@ class MultiLinkMonitor:
         if tap is not None:
             tap.observe(record)
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Batched :meth:`observe`: each table filters by link itself,
-        so handing every tap the whole batch gives identical results."""
-        if self.faults is not None:
-            records = self.faults.filter_batch(records)
-        self.combined.observe_batch(records)
-        for tap in self.taps.values():
-            tap.observe_batch(records)
-
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: one shared fault mask, then
-        every tap and the combined table consume the same column batch.
-
-        The fault decision loop consumes (link, time) pairs in stream
-        order (:meth:`repro.faults.capture.CaptureFilter.keep_mask`),
-        so the drop pattern matches the scalar path bit for bit.
-        """
+        """Columnar :meth:`observe`: one shared fault decision, then
+        every tap and the combined table consume the same batch."""
         if self.faults is not None:
-            mask = self.faults.keep_mask(
-                cols.time.tolist(), cols.link.tolist(), cols.link_names
-            )
-            if not mask.all():
-                cols = cols.compress(mask)
+            cols = self.faults.keep_rows(cols)
             if not len(cols):
                 return
         self.combined.observe_columns(cols)

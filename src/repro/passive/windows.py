@@ -18,7 +18,10 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
+from repro.passive.monitor import campus_mask
 
 
 @dataclass
@@ -81,60 +84,24 @@ class WindowActivityObserver:
             return
         self.hits.setdefault(record.src, set()).add(window)
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Batched :meth:`observe`: identical results, hoisted filters."""
-        tcp_ports = self.tcp_ports
-        udp_ports = self.udp_ports
-        is_campus = self.is_campus
-        window_of = self._window_of
-        hits = self.hits
-        for record in records:
-            proto = record.proto
-            if proto == PROTO_TCP:
-                flags = record.flags._value_
-                if not (flags & 0x02 and flags & 0x10):  # SYN-ACK only
-                    continue
-                if tcp_ports is not None and record.sport not in tcp_ports:
-                    continue
-            elif proto == PROTO_UDP:
-                if record.sport not in udp_ports:
-                    continue
-            else:
-                continue
-            if not is_campus(record.src) or is_campus(record.dst):
-                continue
-            window = window_of(record.time)
-            if window is None:
-                continue
-            hits.setdefault(record.src, set()).add(window)
-
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: vectorised evidence masks and
+        """Columnar :meth:`observe`: vectorised evidence masks and
         ``searchsorted`` window assignment; only the batch's distinct
         (address, window) pairs reach Python."""
-        import numpy as np
-
-        from repro.passive.monitor import _campus_params
-
-        params = _campus_params(self.is_campus)
-        if params is None:
-            self.observe_batch(cols.to_records())
-            return
-        network, mask = params
         proto = cols.proto
-        flags = cols.flags
         sport = cols.sport
-        evidence = (proto == PROTO_TCP) & ((flags & 0x12) == 0x12)
+        evidence = (proto == PROTO_TCP) & ((cols.flags & 0x12) == 0x12)
         if self.tcp_ports is not None:
             tcp_ports = np.array(sorted(self.tcp_ports), dtype=np.uint16)
             evidence &= np.isin(sport, tcp_ports)
         if self.udp_ports:
             udp_ports = np.array(sorted(self.udp_ports), dtype=np.uint16)
             evidence |= (proto == PROTO_UDP) & np.isin(sport, udp_ports)
-        src = cols.src
-        evidence &= (src & mask) == network
-        evidence &= (cols.dst & mask) != network
         index = np.flatnonzero(evidence)
+        src = cols.src[index]
+        inside = campus_mask(self.is_campus, src)
+        inside &= ~campus_mask(self.is_campus, cols.dst[index])
+        index = index[inside]
         if not index.size:
             return
         times = cols.time[index]
@@ -144,7 +111,7 @@ class WindowActivityObserver:
         valid = window >= 0
         clipped = np.where(valid, window, 0)
         valid &= (starts[clipped] <= times) & (times < ends[clipped])
-        addresses = src[index][valid]
+        addresses = src[inside][valid]
         window = window[valid]
         if not addresses.size:
             return

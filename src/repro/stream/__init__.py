@@ -59,7 +59,6 @@ from repro.stream.shard import (
     merged_last_seen,
     owning_address,
     shard_of,
-    split_batch,
 )
 from repro.stream.watermark import (
     ActiveTimeline,
@@ -101,6 +100,5 @@ __all__ = [
     "owning_address",
     "save_checkpoint",
     "shard_of",
-    "split_batch",
     "windowed_summary",
 ]

@@ -1,15 +1,16 @@
 """The streaming discovery engine: run loop, resume, and final merge.
 
 :class:`StreamEngine` consumes a dataset's border capture as an
-unbounded stream of record batches -- from the record-once trace cache
-when a recording exists (:func:`repro.trace.format.read_records_chunked`
-with a seek past the resume offset), regenerated from the traffic model
-otherwise -- and drives the sharded pipeline end to end:
+unbounded stream of column batches
+(:meth:`repro.datasets.builder.BuiltDataset.record_batches`: the
+record-once trace cache when a recording exists, the traffic model
+otherwise, entered at the resume offset) and drives the sharded
+pipeline end to end:
 
 1. the driving thread reads one batch, applies the run's fault filter
    (capture loss and monitor outages, in stream order -- the same drop
    pattern the batch path produces), routes it with
-   :func:`repro.stream.shard.split_batch`, and hands the parts to the
+   :func:`repro.stream.shard.split_columns`, and hands the parts to the
    :class:`repro.stream.ingest.StreamIngestor`;
 2. when stream time crosses an emission mark, the engine drains the
    shard queues and emits a :class:`repro.stream.watermark.Watermark`
@@ -31,15 +32,13 @@ plus the bounded shard queues; nothing retains the stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.active.results import union_open_endpoints
 from repro.core.completeness import CompletenessSummary, summarize_overlap
 from repro.core.report import survey_table
-from repro.net.packet import PacketRecord
 from repro.passive.monitor import Endpoint, PassiveServiceTable
 from repro.probe import POLICY_NAMES, build_prober
 from repro.query.snapshot import DiscoverySnapshot, snapshot_states
@@ -53,15 +52,12 @@ from repro.stream.shard import (
     ShardState,
     merge_shards,
     merged_last_seen,
-    split_batch,
     split_columns,
 )
 from repro.stream.watermark import ActiveTimeline, Watermark, emit_schedule
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.telemetry.tracing import tracer as _tracer
-from repro.trace.cache import default_trace_cache
-from repro.trace.columnar import read_trace_columns
-from repro.trace.format import DEFAULT_BATCH_RECORDS, read_records_chunked
+from repro.trace.format import DEFAULT_BATCH_RECORDS
 
 
 @dataclass(frozen=True)
@@ -92,11 +88,6 @@ class StreamConfig:
     #: ``emit_every`` this is outside the checkpoint identity: it only
     #: controls how often read-side copies are taken, never the result.
     snapshot_every: float | None = None
-    #: Consume the cached trace as zero-copy column batches (vectorised
-    #: routing and shard folding).  Off, the engine decodes
-    #: ``PacketRecord`` lists as before; results are byte-identical
-    #: either way, so this is purely a throughput switch.
-    columnar: bool = True
     #: Online probing policy (``"periodic"`` or ``"heartbeat"``); None
     #: streams passively against build-time scan reports, exactly as
     #: before.  With a policy set, the run's active side comes
@@ -247,22 +238,6 @@ def finalize_result(
     )
 
 
-def _batched(
-    stream: Iterator[PacketRecord], size: int
-) -> Iterator[list[PacketRecord]]:
-    """Chunk a record iterator into lists of *size* (last may be short)."""
-    batch: list[PacketRecord] = []
-    append = batch.append
-    for record in stream:
-        append(record)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
-
-
 class StreamEngine:
     """Drive one streaming discovery run (see the module docstring)."""
 
@@ -300,46 +275,6 @@ class StreamEngine:
         if self.config.end is None:
             return duration
         return min(self.config.end, duration)
-
-    def _source_batches(self, skip: int, end: float) -> Iterator:
-        """Record batches starting *skip* records into the stream.
-
-        Full-duration runs read the cached trace when one exists (the
-        resume offset is a single seek -- records are fixed width);
-        partial runs and cache misses regenerate the stream and skip
-        the prefix, which is cheap because skipped records feed no
-        observers.  Either way the records are identical, so a resumed
-        run continues the exact stream the killed run was consuming.
-
-        With ``config.columnar`` (the default) cached traces are served
-        as :class:`repro.trace.columnar.RecordColumns` batches --
-        zero-copy views over the mapped file -- and the run loop,
-        fault filter, router, and shard workers all take their
-        vectorised paths.  Regenerated streams are always scalar (the
-        traffic model produces records one at a time).
-        """
-        config = self.config
-        dataset = self.dataset
-        if end >= dataset.duration:
-            cache = default_trace_cache()
-            if cache.enabled:
-                cached = cache.lookup(dataset.trace_cache_key)
-                if cached is not None:
-                    if config.columnar:
-                        yield from read_trace_columns(
-                            cached,
-                            chunk_records=config.batch_records,
-                            skip_records=skip,
-                        )
-                        return
-                    yield from read_records_chunked(
-                        cached, config.batch_records, skip_records=skip
-                    )
-                    return
-        stream = dataset._generate_stream(end)
-        if skip:
-            next(islice(stream, skip - 1, skip), None)
-        yield from _batched(stream, config.batch_records)
 
     # ---- watermarks & checkpoints --------------------------------------
 
@@ -541,41 +476,20 @@ class StreamEngine:
         )
         wall_start = perf_counter()
         try:
-            for batch in self._source_batches(records_read, end):
-                # The source yields either PacketRecord lists or
-                # RecordColumns batches; both define len(), and every
-                # consumer below has a columnar counterpart.
-                columnar = not isinstance(batch, list)
+            for batch in dataset.record_batches(
+                end, records_read, config.batch_records
+            ):
                 records_read += len(batch)
                 if faults is not None:
-                    if columnar:
-                        mask = faults.keep_mask(
-                            batch.time.tolist(),
-                            batch.link.tolist(),
-                            batch.link_names,
-                        )
-                        if not mask.all():
-                            batch = batch.compress(mask)
-                    else:
-                        batch = faults.filter_batch(batch)
+                    batch = faults.keep_rows(batch)
                 records_delivered += len(batch)
                 if len(batch):
-                    last_time = (
-                        float(batch.time[-1]) if columnar else batch[-1].time
-                    )
+                    last_time = float(batch.time[-1])
                     if last_time > now:
                         now = last_time
                     if tap is not None:
-                        if columnar:
-                            tap.observe_columns(batch)
-                        else:
-                            tap.observe_batch(batch)
-                    if columnar:
-                        ingestor.dispatch(
-                            split_columns(batch, is_campus, shards)
-                        )
-                    else:
-                        ingestor.dispatch(split_batch(batch, is_campus, shards))
+                        tap.observe_columns(batch)
+                    ingestor.dispatch(split_columns(batch, is_campus, shards))
                     if trc.enabled:
                         trc.note("engine.batch", records=records_read)
                 if prober is not None:

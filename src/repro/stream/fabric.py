@@ -6,10 +6,11 @@ whole run.  This module promotes shards to shared-nothing worker
 **processes**: a :class:`FabricSupervisor` reads the source stream,
 applies the run's fault filter (once, in stream order -- the drop
 pattern is decided before any process boundary, so it cannot depend on
-worker scheduling or deaths), routes each batch with the existing
-split functions, and ships per-shard sub-batches over bounded
-``multiprocessing`` queues to workers that do nothing but fold them
-into their own :class:`~repro.stream.shard.ShardState`.
+worker scheduling or deaths), routes each batch with
+:func:`repro.stream.shard.split_columns`, and ships per-shard
+sub-batches over bounded ``multiprocessing`` queues to workers that do
+nothing but fold them into their own
+:class:`~repro.stream.shard.ShardState`.
 
 **Membership and liveness.**  Workers join with a registration
 handshake and then heartbeat on their own clock; the supervisor's
@@ -68,7 +69,7 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.engine import StreamConfig, StreamEngine, StreamResult, finalize_result
 from repro.stream.membership import Membership
-from repro.stream.shard import ShardState, split_batch, split_columns
+from repro.stream.shard import ShardState, split_columns
 from repro.stream.watermark import ActiveTimeline, Watermark, emit_schedule
 from repro.telemetry.metrics import MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _telemetry_registry
@@ -227,10 +228,7 @@ def _shard_worker(
             if kind == "batch":
                 part = item[1]
                 with _span("fabric.worker.batch"):
-                    if isinstance(part, list):
-                        state.observe_batch(part)
-                    else:
-                        state.observe_columns(part)
+                    state.observe_columns(part)
                 if trc.enabled:
                     trc.note("worker.batch", parent=item[2],
                              records=state.records)
@@ -619,7 +617,9 @@ class FabricSupervisor:
         is_campus = self.dataset.is_campus
         shards = self.config.shards
         fed = 0
-        for batch in self.engine._source_batches(base, self._end):
+        for batch in self.dataset.record_batches(
+            self._end, base, self.config.batch_records
+        ):
             # Heartbeats are timestamped at pump time, so a long replay
             # without pumping would make every *healthy* worker look
             # overdue and cascade into spurious failovers.
@@ -628,30 +628,12 @@ class FabricSupervisor:
             if take <= 0:
                 break
             if take < len(batch):
-                batch = (
-                    batch[:take]
-                    if isinstance(batch, list)
-                    else batch.slice(0, take)
-                )
+                batch = batch.slice(0, take)
             fed += take
-            columnar = not isinstance(batch, list)
             if scratch is not None:
-                if columnar:
-                    mask = scratch.keep_mask(
-                        batch.time.tolist(), batch.link.tolist(),
-                        batch.link_names,
-                    )
-                    if not mask.all():
-                        batch = batch.compress(mask)
-                else:
-                    batch = scratch.filter_batch(batch)
+                batch = scratch.keep_rows(batch)
             if len(batch):
-                parts = (
-                    split_columns(batch, is_campus, shards)
-                    if columnar
-                    else split_batch(batch, is_campus, shards)
-                )
-                part = parts[shard]
+                part = split_columns(batch, is_campus, shards)[shard]
                 if part:
                     if not self._put(
                         shard,
@@ -1135,33 +1117,18 @@ class FabricSupervisor:
                 else:
                     self._records_fed[shard] = self._records_read
 
-            for batch in self.engine._source_batches(
-                self._records_read, self._end
+            for batch in self.dataset.record_batches(
+                self._end, self._records_read, self.config.batch_records
             ):
-                columnar = not isinstance(batch, list)
                 self._records_read += len(batch)
                 if faults is not None:
-                    if columnar:
-                        mask = faults.keep_mask(
-                            batch.time.tolist(), batch.link.tolist(),
-                            batch.link_names,
-                        )
-                        if not mask.all():
-                            batch = batch.compress(mask)
-                    else:
-                        batch = faults.filter_batch(batch)
+                    batch = faults.keep_rows(batch)
                 self._records_delivered += len(batch)
                 if len(batch):
-                    last_time = (
-                        float(batch.time[-1]) if columnar else batch[-1].time
-                    )
+                    last_time = float(batch.time[-1])
                     if last_time > self._now:
                         self._now = last_time
-                    parts = (
-                        split_columns(batch, is_campus, shards)
-                        if columnar
-                        else split_batch(batch, is_campus, shards)
-                    )
+                    parts = split_columns(batch, is_campus, shards)
                     ctx = trc.current_ids()
                     for shard, part in enumerate(parts):
                         if part:

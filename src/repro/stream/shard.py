@@ -23,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
-from repro.passive.monitor import Endpoint, PassiveServiceTable
+from repro.passive.monitor import Endpoint, PassiveServiceTable, campus_mask
 
 #: Fibonacci-style multiplier spreading contiguous campus addresses
 #: across shards (addresses within one /24 would otherwise all land on
@@ -53,32 +55,20 @@ def shard_of(address: int, shards: int) -> int:
 
 
 def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:
-    """Columnar :func:`split_batch`: one vectorised scatter per batch.
+    """Partition one batch into per-shard sub-batches (in order).
 
-    The owning-address rule is evaluated with ``np.where`` over the
-    whole batch, hashed with the same multiplier, and the batch is
+    The :func:`owning_address` rule is evaluated with ``np.where`` over
+    the whole batch, hashed like :func:`shard_of`, and the batch is
     permuted once with a *stable* argsort so each shard's sub-batch
     preserves stream order -- the invariant the per-link fault and
     handshake state machines rely on.
     """
-    import numpy as np
-
-    from repro.passive.monitor import _campus_params
-
     if shards <= 1:
         return [cols]
     src = cols.src
     dst = cols.dst
     proto = cols.proto
-    params = _campus_params(is_campus)
-    if params is not None:
-        network, mask = params
-        src_campus = (src & mask) == network
-    else:
-        src_campus = np.fromiter(
-            (is_campus(address) for address in src.tolist()),
-            dtype=bool, count=len(cols),
-        )
+    src_campus = campus_mask(is_campus, src)
     tcp = proto == PROTO_TCP
     synack = tcp & ((cols.flags & 0x12) == 0x12)
     udp_out = (proto == PROTO_UDP) & src_campus
@@ -102,7 +92,11 @@ def split_batch(
     is_campus: Callable[[int], bool],
     shards: int,
 ) -> list[list[PacketRecord]]:
-    """Partition one record batch into per-shard sub-batches (in order)."""
+    """Partition a record list by :func:`owning_address` (in order).
+
+    The pipeline routes columns with :func:`split_columns`; this is
+    kept because ``perfbench/layers.py`` wraps it by name.
+    """
     if shards <= 1:
         return [records]
     parts: list[list[PacketRecord]] = [[] for _ in range(shards)]
@@ -116,10 +110,9 @@ def split_batch(
 class ShardState:
     """One shard's long-lived discovery state.
 
-    Wraps a real :class:`PassiveServiceTable` (so folding a record is
+    Wraps a real :class:`PassiveServiceTable` (so folding a batch is
     exactly the batch-replay code path) plus the streaming extras: a
     per-endpoint *last-seen* timeline and a processed-record counter.
-    Both update in O(1) per record.
     """
 
     index: int
@@ -128,59 +121,55 @@ class ShardState:
     last_seen: dict[Endpoint, float] = field(default_factory=dict)
     records: int = 0
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Fold one routed sub-batch into the shard state."""
+    def observe(self, record: PacketRecord) -> None:
+        """Fold one record into the shard state.
+
+        Last-seen maintenance mirrors the table's evidence filter for
+        the two signals that stamp first_seen on the default rules
+        (SYN-ACK, UDP source port); it is supplementary state and
+        never feeds the completeness report.
+        """
         table = self.table
-        table.observe_batch(records)
-        self.records += len(records)
-        # Last-seen maintenance mirrors the table's evidence filter for
-        # the two signals that stamp first_seen on the default rules
-        # (SYN-ACK, UDP source port); it is supplementary state and
-        # never feeds the completeness report.
-        is_campus = table.is_campus
-        tcp_ports = table.tcp_ports
-        udp_ports = table.udp_ports
-        exclude = table.exclude_sources
-        last_seen = self.last_seen
+        table.observe(record)
+        self.records += 1
+        proto = record.proto
+        if proto == PROTO_TCP:
+            flags = record.flags._value_
+            if not (flags & 0x02 and flags & 0x10):
+                return
+            port = record.sport
+            if table.tcp_ports is not None and port not in table.tcp_ports:
+                return
+        elif proto == PROTO_UDP:
+            port = record.sport
+            if port not in table.udp_ports:
+                return
+        else:
+            return
+        if not table.is_campus(record.src) or table.is_campus(record.dst):
+            return
+        if record.dst in table.exclude_sources:
+            return
+        endpoint = (record.src, port, proto)
+        previous = self.last_seen.get(endpoint)
+        if previous is None or record.time > previous:
+            self.last_seen[endpoint] = record.time
+
+    def observe_batch(self, records: list[PacketRecord]) -> None:
+        """:meth:`observe` over a record list.
+
+        Nothing in the pipeline folds record lists; this is kept
+        because ``perfbench/layers.py`` wraps it by name.
+        """
         for record in records:
-            proto = record.proto
-            if proto == PROTO_TCP:
-                flags = record.flags._value_
-                if not (flags & 0x02 and flags & 0x10):
-                    continue
-                port = record.sport
-                if tcp_ports is not None and port not in tcp_ports:
-                    continue
-            elif proto == PROTO_UDP:
-                port = record.sport
-                if port not in udp_ports:
-                    continue
-            else:
-                continue
-            if not is_campus(record.src) or is_campus(record.dst):
-                continue
-            if record.dst in exclude:
-                continue
-            endpoint = (record.src, port, proto)
-            previous = last_seen.get(endpoint)
-            if previous is None or record.time > previous:
-                last_seen[endpoint] = record.time
+            self.observe(record)
 
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: table fast path plus a
+        """Columnar :meth:`observe`: the table's column path plus a
         group-max update of the last-seen timeline."""
-        import numpy as np
-
-        from repro.passive.monitor import _campus_params
-
         table = self.table
-        params = _campus_params(table.is_campus)
-        if params is None:
-            self.observe_batch(cols.to_records())
-            return
         table.observe_columns(cols)
         self.records += len(cols)
-        network, mask = params
         proto = cols.proto
         sport = cols.sport
         evidence = (proto == PROTO_TCP) & ((cols.flags & 0x12) == 0x12)
@@ -190,17 +179,17 @@ class ShardState:
         if table.udp_ports:
             udp_ports = np.array(sorted(table.udp_ports), dtype=np.uint16)
             evidence |= (proto == PROTO_UDP) & np.isin(sport, udp_ports)
-        src = cols.src
-        dst = cols.dst
-        evidence &= (src & mask) == network
-        evidence &= (dst & mask) != network
         exclude = table.exclude_sources
         if exclude:
-            evidence &= ~np.isin(dst, np.fromiter(exclude, dtype=np.uint32))
+            evidence &= ~np.isin(cols.dst, np.fromiter(exclude, dtype=np.uint32))
         index = np.flatnonzero(evidence)
+        src_e = cols.src[index]
+        inside = campus_mask(table.is_campus, src_e)
+        inside &= ~campus_mask(table.is_campus, cols.dst[index])
+        index = index[inside]
         if not index.size:
             return
-        src_e = src[index]
+        src_e = src_e[inside]
         sport_e = sport[index]
         proto_e = proto[index]
         times = cols.time[index]

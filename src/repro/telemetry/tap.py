@@ -35,24 +35,16 @@ class ReplayTap:
         self.by_proto: dict[int, int] = {}
 
     def observe(self, record: PacketRecord) -> None:
-        self.observe_batch([record])
-
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        self.records += len(records)
+        self.records += 1
         by_link = self.by_link
-        by_proto = self.by_proto
-        synacks = 0
-        for record in records:
-            link = record.link
-            by_link[link] = by_link.get(link, 0) + 1
-            proto = record.proto
-            by_proto[proto] = by_proto.get(proto, 0) + 1
-            if proto == PROTO_TCP and record.flags._value_ & 0x12 == 0x12:
-                synacks += 1
-        self.synacks += synacks
+        by_link[record.link] = by_link.get(record.link, 0) + 1
+        proto = record.proto
+        self.by_proto[proto] = self.by_proto.get(proto, 0) + 1
+        if proto == PROTO_TCP and record.flags._value_ & 0x12 == 0x12:
+            self.synacks += 1
 
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: three bincounts, no records."""
+        """Columnar :meth:`observe`: three bincounts, no records."""
         import numpy as np
 
         count = len(cols)

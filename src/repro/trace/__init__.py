@@ -5,7 +5,7 @@ published datasets are anonymised.  This package provides the same
 pipeline for our simulated captures:
 
 * :mod:`repro.trace.format` -- a compact binary record format with a
-  streaming writer/reader and a batched chunk reader;
+  streaming writer/reader;
 * :mod:`repro.trace.columnar` -- the chunked columnar layout (format
   v2): one contiguous array per field per chunk, read zero-copy via
   mmap into numpy views, plus converters between versions;
@@ -28,7 +28,6 @@ from repro.trace.format import (
     TRACE_FORMAT_VERSION,
     TraceReader,
     TraceWriter,
-    read_records_chunked,
     read_trace,
     trace_is_intact,
     trace_version,
@@ -45,7 +44,6 @@ __all__ = [
     "TraceWriter",
     "convert_trace",
     "default_trace_cache",
-    "read_records_chunked",
     "read_trace",
     "read_trace_columns",
     "trace_is_intact",

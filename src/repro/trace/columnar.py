@@ -38,13 +38,12 @@ vector ops run at memory bandwidth) plus per-chunk locality.
 
 from __future__ import annotations
 
-import io
 import mmap
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -103,13 +102,30 @@ def _chunk_payload_bytes(count: int) -> int:
     return raw + (-raw % 8)
 
 
+def _link_index(link: str) -> int:
+    """The one-byte index a link name is stored as."""
+    index = _LINK_INDEX.get(link)
+    if index is None:
+        raise ValueError(f"unknown link {link!r}")
+    return index
+
+
+def _icmp_marker(icmp) -> int:
+    """The one-byte marker an ICMP kind is stored as."""
+    if icmp is None:
+        return _ICMP_NONE
+    if icmp == ICMP_PORT_UNREACHABLE:
+        return _ICMP_PORT_UNREACH
+    raise ValueError(f"unsupported ICMP kind: {icmp}")
+
+
 @dataclass
 class RecordColumns:
     """One batch of records as parallel numpy arrays (one per field).
 
-    The columnar counterpart of ``list[PacketRecord]``: index *i* of
-    every array describes the same record.  Arrays may be zero-copy
-    views into an mmap'd trace -- treat them as read-only.
+    The only batch that flows from a record source to the observers:
+    index *i* of every array describes the same record.  Arrays may be
+    zero-copy views into an mmap'd trace -- treat them as read-only.
 
     ``link_names`` maps the ``link`` column's one-byte indices back to
     link name strings (index 0 is the empty link).
@@ -125,11 +141,6 @@ class RecordColumns:
     link: np.ndarray
     icmp: np.ndarray
     link_names: tuple[str, ...] = _LINKS
-    #: Lazily materialised scalar form, shared by every observer of the
-    #: batch that needs per-record objects (the scalar-fallback path).
-    _records: "list[PacketRecord] | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.time)
@@ -137,33 +148,23 @@ class RecordColumns:
     # ---- construction ------------------------------------------------
 
     @classmethod
-    def from_records(cls, records: "list[PacketRecord]") -> "RecordColumns":
-        """Columnise a record list (validates links and ICMP kinds)."""
-        link_index = _LINK_INDEX
-        links = []
-        icmps = []
-        for record in records:
-            index = link_index.get(record.link)
-            if index is None:
-                raise ValueError(f"unknown link {record.link!r}")
-            links.append(index)
-            if record.icmp is None:
-                icmps.append(_ICMP_NONE)
-            elif record.icmp == ICMP_PORT_UNREACHABLE:
-                icmps.append(_ICMP_PORT_UNREACH)
-            else:
-                raise ValueError(f"unsupported ICMP kind: {record.icmp}")
-        return cls(
-            time=np.array([r.time for r in records], dtype="<f8"),
-            src=np.array([r.src for r in records], dtype="<u4"),
-            dst=np.array([r.dst for r in records], dtype="<u4"),
-            sport=np.array([r.sport for r in records], dtype="<u2"),
-            dport=np.array([r.dport for r in records], dtype="<u2"),
-            proto=np.array([r.proto for r in records], dtype="u1"),
-            flags=np.array([int(r.flags) for r in records], dtype="u1"),
-            link=np.array(links, dtype="u1"),
-            icmp=np.array(icmps, dtype="u1"),
+    def from_records(cls, records: "Iterable[PacketRecord]") -> "RecordColumns":
+        """Columnise records (validates links and ICMP kinds).
+
+        The single place records are encoded into the stored field
+        layout: the trace writer and the regenerating record source
+        both go through it.  *records* is consumed in one pass and not
+        held, so columnising a generator keeps no record alive.
+        """
+        rows = np.fromiter(
+            (
+                (r.time, r.src, r.dst, r.sport, r.dport, r.proto,
+                 r.flags._value_, _link_index(r.link), _icmp_marker(r.icmp))
+                for r in records
+            ),
+            dtype=V1_DTYPE,
         )
+        return cls(*(np.ascontiguousarray(rows[name]) for name, _ in COLUMN_FIELDS))
 
     @classmethod
     def from_structured(cls, view: np.ndarray) -> "RecordColumns":
@@ -173,32 +174,25 @@ class RecordColumns:
     # ---- conversion ----------------------------------------------------
 
     def to_records(self) -> "list[PacketRecord]":
-        """Materialise the batch as ``PacketRecord`` objects.
-
-        Identical to what the v1 batched reader would decode; the
-        result is cached on the batch so several scalar-fallback
-        observers of one replay pass share a single materialisation.
-        """
-        if self._records is None:
-            make = PacketRecord
-            flag_values = _FLAG_VALUES
-            icmp_values = _ICMP_VALUES
-            links = self.link_names
-            self._records = [
-                make(
-                    time=time, src=src, dst=dst, sport=sport, dport=dport,
-                    proto=proto, flags=flag_values[flags],
-                    icmp=icmp_values[icmp], link=links[link],
-                )
-                for time, src, dst, sport, dport, proto, flags, link, icmp
-                in zip(
-                    self.time.tolist(), self.src.tolist(), self.dst.tolist(),
-                    self.sport.tolist(), self.dport.tolist(),
-                    self.proto.tolist(), self.flags.tolist(),
-                    self.link.tolist(), self.icmp.tolist(),
-                )
-            ]
-        return self._records
+        """Materialise the batch as ``PacketRecord`` objects."""
+        make = PacketRecord
+        flag_values = _FLAG_VALUES
+        icmp_values = _ICMP_VALUES
+        links = self.link_names
+        return [
+            make(
+                time=time, src=src, dst=dst, sport=sport, dport=dport,
+                proto=proto, flags=flag_values[flags],
+                icmp=icmp_values[icmp], link=links[link],
+            )
+            for time, src, dst, sport, dport, proto, flags, link, icmp
+            in zip(
+                self.time.tolist(), self.src.tolist(), self.dst.tolist(),
+                self.sport.tolist(), self.dport.tolist(),
+                self.proto.tolist(), self.flags.tolist(),
+                self.link.tolist(), self.icmp.tolist(),
+            )
+        ]
 
     def to_structured(self) -> np.ndarray:
         """Pack the batch into a fresh :data:`V1_DTYPE` array (v1 bytes)."""
@@ -233,7 +227,7 @@ class ColumnarTraceWriter:
 
     Interface-compatible with :class:`repro.trace.format.TraceWriter`
     (``write``/``close``/``records_written``, context manager), plus
-    :meth:`write_columns` for bulk input that is already columnar.
+    :meth:`write_columns` for batches that are already columnar.
     """
 
     def __init__(
@@ -244,7 +238,7 @@ class ColumnarTraceWriter:
         self._file = fileobj
         self._chunk_records = chunk_records
         self._count = 0
-        self._buffers: list[list] = [[] for _ in COLUMN_FIELDS]
+        self._pending: list[PacketRecord] = []
         self._file.write(_HEADER.pack(_MAGIC, VERSION_COLUMNAR, 0, 0))
 
     @classmethod
@@ -254,66 +248,43 @@ class ColumnarTraceWriter:
         return cls(open(path, "wb"), chunk_records)
 
     def write(self, record: PacketRecord) -> None:
-        link_index = _LINK_INDEX.get(record.link)
-        if link_index is None:
-            raise ValueError(f"unknown link {record.link!r}")
-        icmp_marker = _ICMP_NONE
-        if record.icmp is not None:
-            if record.icmp != ICMP_PORT_UNREACHABLE:
-                raise ValueError(f"unsupported ICMP kind: {record.icmp}")
-            icmp_marker = _ICMP_PORT_UNREACH
-        buffers = self._buffers
-        buffers[0].append(record.time)
-        buffers[1].append(record.src)
-        buffers[2].append(record.dst)
-        buffers[3].append(record.sport)
-        buffers[4].append(record.dport)
-        buffers[5].append(record.proto)
-        buffers[6].append(int(record.flags))
-        buffers[7].append(link_index)
-        buffers[8].append(icmp_marker)
+        self._pending.append(record)
         self._count += 1
-        if len(buffers[0]) >= self._chunk_records:
-            self._flush_chunk()
+        if len(self._pending) >= self._chunk_records:
+            self._flush_pending()
 
     def write_columns(self, columns: RecordColumns) -> None:
-        """Append a whole columnar batch (bulk path for converters)."""
-        self._flush_chunk()
+        """Append a columnar batch, starting a new chunk.
+
+        A batch of exactly ``chunk_records`` rows lays out the same
+        bytes as writing its records one by one.
+        """
+        self._flush_pending()
         total = len(columns)
         for start in range(0, total, self._chunk_records):
-            part = columns.slice(start, min(start + self._chunk_records, total))
-            self._write_chunk_arrays(
-                [getattr(part, name) for name, _ in COLUMN_FIELDS]
-            )
+            self._flush_chunk(columns.slice(start, start + self._chunk_records))
         self._count += total
 
-    def _flush_chunk(self) -> None:
-        if not self._buffers[0]:
-            return
-        arrays = [
-            np.asarray(values, dtype=dtype)
-            for values, (_, dtype) in zip(self._buffers, COLUMN_FIELDS)
-        ]
-        self._write_chunk_arrays(arrays)
-        self._buffers = [[] for _ in COLUMN_FIELDS]
+    def _flush_pending(self) -> None:
+        if self._pending:
+            self._flush_chunk(RecordColumns.from_records(self._pending))
+            self._pending = []
 
-    def _write_chunk_arrays(self, arrays: list) -> None:
-        count = len(arrays[0])
-        if count == 0:
-            return
+    def _flush_chunk(self, columns: RecordColumns) -> None:
+        """Write *columns* (non-empty) as one chunk."""
+        count = len(columns)
         write = self._file.write
         write(_CHUNK_HEADER.pack(count, 0))
-        for array, (_, dtype) in zip(arrays, COLUMN_FIELDS):
-            if array.dtype != dtype:
-                array = array.astype(dtype)
-            write(np.ascontiguousarray(array).tobytes())
+        for name, dtype in COLUMN_FIELDS:
+            array = np.ascontiguousarray(getattr(columns, name), dtype=dtype)
+            write(array.tobytes())
         padding = -(count * _BYTES_PER_RECORD) % 8
         if padding:
             write(b"\x00" * padding)
 
     def close(self) -> None:
         """Flush the tail chunk, finalise the header, close the file."""
-        self._flush_chunk()
+        self._flush_pending()
         self._file.seek(0)
         self._file.write(_HEADER.pack(_MAGIC, VERSION_COLUMNAR, 0, self._count))
         self._file.close()
@@ -336,9 +307,10 @@ def _mmap_file(path: "str | Path") -> mmap.mmap:
 
 
 def _iter_v2_chunks(
-    buffer: mmap.mmap, skip_records: int
+    buffer: mmap.mmap, skip_records: int, chunk_records: int
 ) -> Iterator[RecordColumns]:
-    """Walk a v2 mapping's chunks, yielding zero-copy column batches."""
+    """Walk a v2 mapping's chunks as zero-copy batches of at most
+    *chunk_records* rows (a chunk is sliced from the skip point)."""
     size = len(buffer)
     offset = _HEADER.size
     remaining_skip = skip_records
@@ -365,10 +337,9 @@ def _iter_v2_chunks(
             )
             column_offset += count * dtype.itemsize
         batch = RecordColumns(*columns)
-        if remaining_skip:
-            batch = batch.slice(remaining_skip)
-            remaining_skip = 0
-        yield batch
+        for start in range(remaining_skip, count, chunk_records):
+            yield batch.slice(start, start + chunk_records)
+        remaining_skip = 0
         offset = data_start + payload
 
 
@@ -379,12 +350,13 @@ def read_trace_columns(
 ) -> Iterator[RecordColumns]:
     """Read any trace file as :class:`RecordColumns` batches.
 
-    V2 files yield the writer's chunks as zero-copy views into one
-    mmap of the file; v1 files are mmap'd into a structured view and
-    yielded in *chunk_records* slices (still zero-copy, but each field
-    is a strided view rather than a dense array).  *skip_records*
-    drops the first N records -- whole skipped chunks cost one header
-    read, and a partial skip is a view slice.
+    Batches hold at most *chunk_records* rows and never span two of
+    the file's chunks.  V2 files yield zero-copy views into one mmap of
+    the file; v1 files are mmap'd into a structured view and sliced
+    the same way (still zero-copy, but each field is a strided view
+    rather than a dense array).  *skip_records* drops the first N
+    records -- whole skipped chunks cost one header read, and a partial
+    skip is a view slice.
     """
     if skip_records < 0:
         raise ValueError("skip_records must be >= 0")
@@ -394,7 +366,7 @@ def read_trace_columns(
         version, _count = read_header(fileobj)
     buffer = _mmap_file(path)
     if version == VERSION_COLUMNAR:
-        yield from _iter_v2_chunks(buffer, skip_records)
+        yield from _iter_v2_chunks(buffer, skip_records, chunk_records)
         return
     body = len(buffer) - _HEADER.size
     if body % _RECORD.size:
@@ -407,28 +379,6 @@ def read_trace_columns(
         yield RecordColumns.from_structured(
             view[start:start + chunk_records]
         )
-
-
-def read_columns_batched(
-    path: "str | Path",
-    batch_size: int,
-    skip_records: int = 0,
-) -> Iterator["list[PacketRecord]"]:
-    """Decode a v2 trace into ``PacketRecord`` batches (v1 compatibility).
-
-    The scalar view of a columnar file: record-for-record identical to
-    reading the trace's v1 form through
-    :func:`repro.trace.format.read_records_chunked`.  Chunks are
-    re-sliced to *batch_size* so consumers see the batch shape they
-    asked for.
-    """
-    for columns in read_trace_columns(path, skip_records=skip_records):
-        total = len(columns)
-        if total <= batch_size:
-            yield columns.to_records()
-            continue
-        for start in range(0, total, batch_size):
-            yield columns.slice(start, start + batch_size).to_records()
 
 
 def columnar_record_count(path: "str | Path") -> int:

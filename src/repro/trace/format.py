@@ -46,12 +46,12 @@ _LINK_INDEX = {name: index for index, name in enumerate(_LINKS)}
 _ICMP_NONE = 0
 _ICMP_PORT_UNREACH = 1
 
-#: Decode lookup tables for the batched reader: one-byte fields map
-#: through tuples instead of calling the enum constructor per record.
+#: Decode lookup tables: one-byte fields map through tuples instead of
+#: calling the enum constructor per record.
 _FLAG_VALUES: tuple[TcpFlags, ...] = tuple(TcpFlags(value) for value in range(256))
 _ICMP_VALUES: tuple[tuple[int, int] | None, ...] = (None, ICMP_PORT_UNREACHABLE)
 
-#: Default number of records decoded per batch by the chunked reader.
+#: Default number of records per batch a stream run reads.
 DEFAULT_BATCH_RECORDS = 8192
 
 
@@ -181,11 +181,9 @@ class TraceReader:
     """Streaming reader; iterates :class:`PacketRecord` values.
 
     Reads both format versions: v1 decodes the packed record stream in
-    place; v2 delegates to the columnar reader and materialises
-    records batch by batch.  A zero record count in the header (a
-    writer that never finalised) is repaired by computing the count
-    from the file size, so downstream consumers that pre-size buffers
-    or seek by record index still take their batched paths.
+    place; v2 materialises the columnar reader's batches.  A zero
+    record count in the header (a writer that never finalised) is
+    repaired by computing the count from the file size.
     """
 
     def __init__(self, fileobj: BinaryIO) -> None:
@@ -213,21 +211,16 @@ class TraceReader:
 
     _path: Path | None = None
 
-    def _columnar_batches(
-        self, batch_size: int = DEFAULT_BATCH_RECORDS
-    ) -> Iterator[list[PacketRecord]]:
-        if self._path is None:
-            raise ValueError(
-                "columnar traces must be opened by path (TraceReader.open)"
-            )
-        from repro.trace.columnar import read_columns_batched
-
-        return read_columns_batched(self._path, batch_size)
-
     def __iter__(self) -> Iterator[PacketRecord]:
         if self.version != _VERSION:
-            for batch in self._columnar_batches():
-                yield from batch
+            if self._path is None:
+                raise ValueError(
+                    "columnar traces must be opened by path (TraceReader.open)"
+                )
+            from repro.trace.columnar import read_trace_columns
+
+            for columns in read_trace_columns(self._path):
+                yield from columns.to_records()
             return
         read = self._file.read
         size = _RECORD.size
@@ -253,14 +246,6 @@ class TraceReader:
                 link=_LINKS[link_index],
             )
 
-    def iter_batches(
-        self, batch_size: int = DEFAULT_BATCH_RECORDS
-    ) -> Iterator[list[PacketRecord]]:
-        """Decode the remaining records in bulk, *batch_size* at a time."""
-        if self.version != _VERSION:
-            return self._columnar_batches(batch_size)
-        return _iter_batches(self._file, batch_size)
-
     def close(self) -> None:
         self._file.close()
 
@@ -271,84 +256,21 @@ class TraceReader:
         self.close()
 
 
-def _iter_batches(
-    fileobj: BinaryIO, batch_size: int
-) -> Iterator[list[PacketRecord]]:
-    """Yield lists of records decoded with one bulk ``iter_unpack`` each.
-
-    Reading whole chunks and unpacking them in one C call (instead of a
-    24-byte ``read`` + ``unpack`` per record) is what makes cached-trace
-    replay cheap; the record objects produced are identical to the
-    streaming reader's.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    record_size = _RECORD.size
-    chunk_bytes = batch_size * record_size
-    iter_unpack = _RECORD.iter_unpack
-    flag_values = _FLAG_VALUES
-    icmp_values = _ICMP_VALUES
-    links = _LINKS
-    make = PacketRecord
-    read = fileobj.read
-    while True:
-        data = read(chunk_bytes)
-        if not data:
-            return
-        if len(data) % record_size:
-            raise ValueError("truncated record at end of trace")
-        yield [
-            make(
-                time=time,
-                src=src,
-                dst=dst,
-                sport=sport,
-                dport=dport,
-                proto=proto,
-                flags=flag_values[flags],
-                icmp=icmp_values[icmp],
-                link=links[link_index],
-            )
-            for (
-                time, src, dst, sport, dport, proto, flags, link_index, icmp
-            ) in iter_unpack(data)
-        ]
-
-
 def read_records_chunked(
     path: str | Path,
     batch_size: int = DEFAULT_BATCH_RECORDS,
     skip_records: int = 0,
 ) -> Iterator[list[PacketRecord]]:
-    """Read a trace file as record batches (the replay-engine fast path).
+    """A trace as ``PacketRecord`` lists of at most *batch_size*.
 
-    Equivalent to ``TraceReader`` record-for-record, but yields lists of
-    *batch_size* records decoded in bulk.  The file is closed when the
-    generator is exhausted or discarded.
-
-    *skip_records* positions the reader past the first N records with a
-    single seek (records are fixed width), which is how a resumed
-    stream run (:mod:`repro.stream`) re-enters a cached trace at its
-    checkpoint offset without decoding the prefix.
+    Nothing in the pipeline reads record lists; this adapter over
+    :func:`repro.trace.columnar.read_trace_columns` is kept because
+    ``perfbench/layers.py`` wraps it by name.
     """
-    if skip_records < 0:
-        raise ValueError("skip_records must be >= 0")
-    fileobj = open(path, "rb")
-    try:
-        version, _count = read_header(fileobj)
-        if version != _VERSION:
-            fileobj.close()
-            fileobj = None
-            from repro.trace.columnar import read_columns_batched
+    from repro.trace.columnar import read_trace_columns
 
-            yield from read_columns_batched(path, batch_size, skip_records)
-            return
-        if skip_records:
-            fileobj.seek(skip_records * _RECORD.size, io.SEEK_CUR)
-        yield from _iter_batches(fileobj, batch_size)
-    finally:
-        if fileobj is not None:
-            fileobj.close()
+    for columns in read_trace_columns(path, batch_size, skip_records):
+        yield columns.to_records()
 
 
 def write_trace(path: str | Path, records: Iterable[PacketRecord]) -> int:

@@ -14,8 +14,9 @@ from repro.campus.host import ProbeOutcome
 from repro.datasets import build_dataset
 from repro.faults import FaultPlan
 from repro.net.packet import PacketRecord
-from repro.passive.monitor import PassiveServiceTable, replay, replay_batched
+from repro.passive.monitor import PassiveServiceTable, replay
 from repro.passive.taps import LinkTap, MultiLinkMonitor
+from repro.trace.columnar import RecordColumns
 
 DATASET = "DTCPall"
 SEED = 23
@@ -29,6 +30,14 @@ def dataset():
 @pytest.fixture(scope="module")
 def generated_records(dataset):
     return list(dataset._generate_stream())
+
+
+def column_batches(records, size):
+    """*records* as column batches of *size* (the last may be short)."""
+    return [
+        RecordColumns.from_records(records[i : i + size])
+        for i in range(0, len(records), size)
+    ]
 
 
 def lossy_plan(**overrides) -> FaultPlan:
@@ -278,9 +287,9 @@ class TestNullPlanIdentity:
                                        tcp_ports=dataset.tcp_ports)
         nulled = PassiveServiceTable(is_campus=dataset.is_campus,
                                      tcp_ports=dataset.tcp_ports)
-        count_a = replay(iter(generated_records), pristine)
+        count_a = replay(column_batches(generated_records, 8192), pristine)
         count_b = replay(
-            iter(generated_records), nulled,
+            column_batches(generated_records, 8192), nulled,
             faults=FaultPlan.none().capture_filter(dataset.duration),
         )
         assert count_a == count_b
@@ -305,17 +314,15 @@ class TestLossyReplayPaths:
     def test_streamed_equals_batched(self, dataset, generated_records):
         plan = self.plan(dataset)
         streamed = self.tables(dataset)
-        count_s = replay(
-            iter(generated_records), streamed,
-            faults=plan.capture_filter(dataset.duration),
-        )
-        batches = [
-            generated_records[i : i + 777]
-            for i in range(0, len(generated_records), 777)
-        ]
+        faults = plan.capture_filter(dataset.duration)
+        count_s = 0
+        for record in generated_records:
+            if faults.keep(record):
+                streamed.observe(record)
+                count_s += 1
         batched = self.tables(dataset)
-        count_b = replay_batched(
-            iter(batches), batched,
+        count_b = replay(
+            column_batches(generated_records, 777), batched,
             faults=plan.capture_filter(dataset.duration),
         )
         assert count_s == count_b
@@ -337,7 +344,8 @@ class TestLossyReplayPaths:
         for record in generated_records:
             per_record.observe(record)
         batched = monitor(plan.capture_filter(dataset.duration))
-        batched.observe_batch(generated_records)
+        for batch in column_batches(generated_records, 777):
+            batched.observe_columns(batch)
         assert per_record.combined.first_seen == batched.combined.first_seen
         for link, tap in per_record.taps.items():
             assert tap.table.first_seen == batched.taps[link].table.first_seen
@@ -360,7 +368,8 @@ class TestLossyReplayPaths:
             tcp_ports=dataset.tcp_ports,
             faults=plan.capture_filter(dataset.duration),
         )
-        own_only_tap.observe_batch(own)
+        for batch in column_batches(own, 777):
+            own_only_tap.observe_columns(batch)
         assert all_records_tap.table.first_seen == own_only_tap.table.first_seen
 
     def test_lossy_scan_is_deterministic(self, dataset):

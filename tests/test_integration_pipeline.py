@@ -103,7 +103,7 @@ class TestTraceRoundtripIntegration:
         )
         path = tmp_path / "day1.rprt"
         with TraceWriter.open(path) as writer:
-            for record in small_dtcp18.packet_stream(end=days(1)):
+            for record in small_dtcp18._generate_stream(days(1)):
                 live.observe(record)
                 writer.write(record)
         replayed = PassiveServiceTable(
@@ -126,7 +126,7 @@ class TestTraceRoundtripIntegration:
         masked = PassiveServiceTable(
             is_campus=small_dtcp18.is_campus, tcp_ports=small_dtcp18.tcp_ports
         )
-        for record in small_dtcp18.packet_stream(end=hours(18)):
+        for record in small_dtcp18._generate_stream(hours(18)):
             plain.observe(record)
             masked.observe(anonymizer.anonymize(record))
         assert len(masked.endpoints()) == len(plain.endpoints())

@@ -12,6 +12,7 @@ from repro.net.packet import (
     udp_datagram,
 )
 from repro.passive.monitor import PassiveServiceTable, ServiceSignal, replay
+from repro.trace.columnar import RecordColumns
 
 CAMPUS = 0x80_7D_00_00  # 128.125.0.0
 OUTSIDE = 0x10_00_00_00
@@ -179,7 +180,10 @@ class TestUdp:
 class TestReplayAndViews:
     def test_replay_feeds_all_observers(self):
         a, b = table(), table()
-        count = replay(handshake(1.0, OUTSIDE + 1, CAMPUS + 2, 80), a, b)
+        batch = RecordColumns.from_records(
+            handshake(1.0, OUTSIDE + 1, CAMPUS + 2, 80)
+        )
+        count = replay([batch], a, b)
         assert count == 3
         assert a.endpoints() == b.endpoints() != set()
 

@@ -31,9 +31,10 @@ from repro.stream import (
     owning_address,
     save_checkpoint,
     shard_of,
-    split_batch,
 )
 from repro.passive.monitor import PassiveServiceTable
+from repro.stream.shard import split_batch, split_columns
+from repro.trace.columnar import RecordColumns
 
 #: Must match the session-scoped ``small_dtcp18`` fixture's build.
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
@@ -63,7 +64,7 @@ def record_sample(small_dtcp18):
     """A couple of thousand real border records (one partial pass)."""
     from itertools import islice
 
-    return list(islice(small_dtcp18.packet_stream(end=hours(12)), 4000))
+    return list(islice(small_dtcp18._generate_stream(hours(12)), 4000))
 
 
 class TestShardRouting:
@@ -107,6 +108,22 @@ class TestShardRouting:
             assert order == sorted(order)
         by_id = {id(record) for part in parts for record in part}
         assert by_id == {id(record) for record in record_sample}
+
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    def test_split_columns_routes_by_owning_address(
+        self, small_dtcp18, record_sample, shards
+    ):
+        is_campus = small_dtcp18.is_campus
+        parts = split_columns(
+            RecordColumns.from_records(record_sample), is_campus, shards
+        )
+        expected = [[] for _ in range(shards)]
+        for record in record_sample:
+            expected[shard_of(owning_address(record, is_campus), shards)].append(
+                record
+            )
+        # Each shard gets exactly its records, in stream order.
+        assert [part.to_records() for part in parts] == expected
 
 
 class TestEquivalence:
@@ -268,13 +285,13 @@ class TestIngestor:
         class Exploding:
             is_campus = staticmethod(lambda a: True)
 
-            def observe_batch(self, records):
+            def observe_columns(self, cols):
                 raise RuntimeError("boom")
 
         states = self._states(1)
         states[0].table = Exploding()
         ingestor = StreamIngestor(states)
-        ingestor.dispatch([record_sample[:10]])
+        ingestor.dispatch([RecordColumns.from_records(record_sample[:10])])
         with pytest.raises(ShardWorkerError):
             ingestor.drain()
 
@@ -290,7 +307,9 @@ class TestIngestor:
             for i in range(2)
         ]
         ingestor = StreamIngestor(states, max_queue_chunks=4)
-        parts = split_batch(record_sample, small_dtcp18.is_campus, 2)
+        parts = split_columns(
+            RecordColumns.from_records(record_sample), small_dtcp18.is_campus, 2
+        )
         ingestor.dispatch(parts)
         ingestor.drain()
         ingestor.close()

@@ -191,11 +191,12 @@ class TestReplayTap:
         from repro.net.packet import tcp_syn, tcp_synack, udp_datagram
 
         tap = ReplayTap()
-        tap.observe_batch([
+        for record in (
             tcp_syn(0.0, 1, 2, 1024, 80, link="commercial1"),
             tcp_synack(0.1, 2, 1, 80, 1024, link="commercial1"),
             udp_datagram(0.2, 3, 4, 53, 53, link="internet2"),
-        ])
+        ):
+            tap.observe(record)
         reg = MetricRegistry()
         tap.flush_into(reg)
         assert reg.value("repro_passive_records_total") == 3
@@ -334,9 +335,9 @@ class TestByteIdenticalReports:
 
 
 class TestNoOpOverhead:
-    """The disabled path on batched replay stays within noise of the
-    uninstrumented loop (the branch runs exactly the original code; the
-    only addition is one registry check per replay call)."""
+    """The disabled path of the column replay loop stays within noise
+    of the same loop without its telemetry gate (one registry check per
+    replay call, a ``None`` test around each batch)."""
 
     REPEATS = 9
     CHUNKS = 300
@@ -344,6 +345,7 @@ class TestNoOpOverhead:
 
     def _workload(self):
         from repro.net.packet import tcp_syn, tcp_synack
+        from repro.trace.columnar import RecordColumns
 
         campus = 0x80000000
         chunks = []
@@ -361,7 +363,7 @@ class TestNoOpOverhead:
                         t, 0x10000000 + i, campus + (i % 64), 1024 + i, 80,
                         link="commercial1",
                     ))
-            chunks.append(batch)
+            chunks.append(RecordColumns.from_records(batch))
         return chunks
 
     def _observer(self):
@@ -375,28 +377,33 @@ class TestNoOpOverhead:
 
     @staticmethod
     def _reference_pass(chunks, *observers, faults=None):
-        # The pre-telemetry replay_batched loop, verbatim: the control
-        # arm for measuring what the registry check costs.
-        from repro.passive.monitor import _batch_adapter
-
+        # The replay loop with its telemetry gate removed: the control
+        # arm for measuring what the gate costs.
         count = 0
-        dispatchers = []
+        dispatch = []
         for observer in observers:
-            batch_method = getattr(observer, "observe_batch", None)
-            if batch_method is None:
-                batch_method = _batch_adapter(observer.observe)
-            dispatchers.append(batch_method)
-        filter_batch = faults.filter_batch if faults is not None else None
-        for batch in chunks:
-            if filter_batch is not None:
-                batch = filter_batch(batch)
-            for dispatch in dispatchers:
-                dispatch(batch)
-            count += len(batch)
+            method = getattr(observer, "observe_columns", None)
+            dispatch.append(
+                (method, True) if method else (observer.observe, False)
+            )
+        for cols in chunks:
+            if faults is not None:
+                cols = faults.keep_rows(cols)
+            if len(cols):
+                records = None
+                for method, columnar in dispatch:
+                    if columnar:
+                        method(cols)
+                        continue
+                    if records is None:
+                        records = cols.to_records()
+                    for record in records:
+                        method(record)
+                count += len(cols)
         return count
 
     def _measure(self, chunks, expected):
-        from repro.passive.monitor import replay_batched
+        from repro.passive.monitor import replay
 
         instrumented = []
         reference = []
@@ -404,7 +411,7 @@ class TestNoOpOverhead:
             # Alternate which arm goes first so drift cancels out.
             arms = [
                 ("ref", self._reference_pass),
-                ("rb", replay_batched),
+                ("rb", replay),
             ]
             if repeat % 2:
                 arms.reverse()
@@ -416,14 +423,14 @@ class TestNoOpOverhead:
         return (min(instrumented) - min(reference)) / min(reference)
 
     def test_disabled_overhead_below_two_percent(self):
-        from repro.passive.monitor import replay_batched
+        from repro.passive.monitor import replay
 
         assert not telemetry_enabled()
         chunks = self._workload()
         expected = self.CHUNKS * self.CHUNK_SIZE
         # Warm both code paths (bytecode specialisation, allocator).
         self._reference_pass(chunks, self._observer())
-        replay_batched(chunks, self._observer())
+        replay(chunks, self._observer())
         # One retry absorbs a scheduler noise spike on a loaded machine;
         # a real hot-path cost fails both rounds.
         overhead = self._measure(chunks, expected)

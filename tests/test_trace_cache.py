@@ -1,7 +1,7 @@
-"""Tests for the record-once trace cache and the batched replay engine.
+"""Tests for the record-once trace cache and the column replay loop.
 
 The acceptance bar for the whole subsystem is *bit-identical* analysis:
-an observer fed from a cached trace (or the batched reader) must end in
+an observer fed from a cached trace (or column batches) must end in
 exactly the state it reaches on the freshly generated stream.
 """
 
@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.datasets import build_dataset
-from repro.passive.monitor import PassiveServiceTable, replay, replay_batched
+from repro.passive.monitor import PassiveServiceTable, replay
 from repro.passive.scandetect import ExternalScanDetector
 from repro.passive.taps import MultiLinkMonitor
 from repro.passive.windows import WindowActivityObserver
@@ -21,9 +21,9 @@ from repro.trace.cache import (
     TraceCache,
     default_trace_cache,
 )
+from repro.trace.columnar import RecordColumns, read_trace_columns
 from repro.trace.format import (
     TraceReader,
-    read_records_chunked,
     read_trace,
     write_trace,
 )
@@ -42,6 +42,21 @@ def dataset():
 def generated_records(dataset):
     """The dataset's full border stream, regenerated (no cache)."""
     return list(dataset._generate_stream())
+
+
+def column_batches(records, size=1000):
+    """*records* as column batches of *size* (the last may be short)."""
+    return [
+        RecordColumns.from_records(records[i : i + size])
+        for i in range(0, len(records), size)
+    ]
+
+
+def observe_each(records, *observers):
+    """The per-record reference: ``observe`` on every record in order."""
+    for record in records:
+        for observer in observers:
+            observer.observe(record)
 
 
 def standard_observers(dataset):
@@ -69,30 +84,25 @@ class TestChunkedReader:
         path = tmp_path / "t.rprt"
         write_trace(path, generated_records)
         streamed = read_trace(path)
-        chunked = [r for batch in read_records_chunked(path, 1000) for r in batch]
+        chunked = [
+            r for batch in read_trace_columns(path, 1000)
+            for r in batch.to_records()
+        ]
         assert chunked == streamed == generated_records
-
-    def test_iter_batches_on_reader(self, tmp_path, generated_records):
-        path = tmp_path / "t.rprt"
-        write_trace(path, generated_records)
-        with TraceReader.open(path) as reader:
-            batches = list(reader.iter_batches(500))
-        assert all(len(batch) <= 500 for batch in batches)
-        assert [r for batch in batches for r in batch] == generated_records
 
     def test_truncated_trace_rejected(self, tmp_path, generated_records):
         path = tmp_path / "t.rprt"
         write_trace(path, generated_records[:10])
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(ValueError, match="truncated"):
-            for _ in read_records_chunked(path):
+            for _ in read_trace_columns(path):
                 pass
 
     def test_bad_batch_size_rejected(self, tmp_path):
         path = tmp_path / "t.rprt"
         write_trace(path, [])
         with pytest.raises(ValueError):
-            list(read_records_chunked(path, 0))
+            list(read_trace_columns(path, 0))
 
 
 class TestRoundTripFidelity:
@@ -103,18 +113,18 @@ class TestRoundTripFidelity:
         write_trace(path, generated_records)
 
         direct_table, direct_detector = standard_observers(dataset)
-        direct_count = replay(iter(generated_records), direct_table, direct_detector)
+        observe_each(generated_records, direct_table, direct_detector)
 
         stream_table, stream_detector = standard_observers(dataset)
         with TraceReader.open(path) as reader:
-            stream_count = replay(reader, stream_table, stream_detector)
+            observe_each(reader, stream_table, stream_detector)
 
         batch_table, batch_detector = standard_observers(dataset)
-        batch_count = replay_batched(
-            read_records_chunked(path), batch_table, batch_detector
+        batch_count = replay(
+            read_trace_columns(path), batch_table, batch_detector
         )
 
-        assert direct_count == stream_count == batch_count
+        assert batch_count == len(generated_records)
         assert_same_analysis(direct_table, stream_table, direct_detector, stream_detector)
         assert_same_analysis(direct_table, batch_table, direct_detector, batch_detector)
 
@@ -129,9 +139,11 @@ class TestRoundTripFidelity:
         assert first == second
         assert_same_analysis(first_table, second_table, first_detector, second_detector)
 
-    def test_packet_stream_served_from_cache(self, dataset, generated_records):
+    def test_record_batches_served_from_cache(self, dataset, generated_records):
         dataset.replay(PassiveServiceTable(is_campus=dataset.is_campus))
-        assert list(dataset.packet_stream()) == generated_records
+        assert default_trace_cache().lookup(dataset.trace_cache_key)
+        served = [r for b in dataset.record_batches() for r in b.to_records()]
+        assert served == generated_records
 
     def test_partial_replay_regenerates(self, dataset):
         """``end`` before the dataset end must not read the full trace."""
@@ -148,14 +160,14 @@ class TestRoundTripFidelity:
 
 
 class TestBatchedObservers:
-    """observe_batch must equal per-record observe for every observer."""
+    """observe_columns must equal per-record observe for every observer."""
 
     def test_passive_table(self, dataset, generated_records):
         per_record, _ = standard_observers(dataset)
         batched, _ = standard_observers(dataset)
         for record in generated_records:
             per_record.observe(record)
-        batched.observe_batch(generated_records)
+        replay(column_batches(generated_records), batched)
         assert per_record.first_seen == batched.first_seen
         assert per_record.flow_counts == batched.flow_counts
         assert per_record.clients == batched.clients
@@ -173,7 +185,7 @@ class TestBatchedObservers:
         per_record, batched = make(), make()
         for record in generated_records:
             per_record.observe(record)
-        batched.observe_batch(generated_records)
+        replay(column_batches(generated_records), batched)
         assert per_record.first_seen == batched.first_seen
         assert per_record.flow_counts == batched.flow_counts
 
@@ -182,7 +194,7 @@ class TestBatchedObservers:
         batched = ExternalScanDetector(is_campus=dataset.is_campus)
         for record in generated_records:
             per_record.observe(record)
-        batched.observe_batch(generated_records)
+        replay(column_batches(generated_records), batched)
         assert per_record._targets == batched._targets
         assert per_record._rst_sources == batched._rst_sources
 
@@ -199,7 +211,7 @@ class TestBatchedObservers:
         per_record, batched = make(), make()
         for record in generated_records:
             per_record.observe(record)
-        batched.observe_batch(generated_records)
+        replay(column_batches(generated_records), batched)
         assert per_record.hits == batched.hits
 
     def test_multilink_monitor(self, dataset, generated_records):
@@ -213,23 +225,23 @@ class TestBatchedObservers:
         per_record, batched = make(), make()
         for record in generated_records:
             per_record.observe(record)
-        batched.observe_batch(generated_records)
+        replay(column_batches(generated_records), batched)
         assert per_record.combined.first_seen == batched.combined.first_seen
         for link, tap in per_record.taps.items():
             assert tap.table.first_seen == batched.taps[link].table.first_seen
 
-    def test_replay_batched_falls_back_to_observe(self, generated_records):
-        class CountingObserver:
+    def test_replay_falls_back_to_observe(self, generated_records):
+        class RecordingObserver:
             def __init__(self):
-                self.seen = 0
+                self.seen = []
 
             def observe(self, record):
-                self.seen += 1
+                self.seen.append(record)
 
-        observer = CountingObserver()
-        batches = [generated_records[:100], generated_records[100:250]]
-        assert replay_batched(iter(batches), observer) == 250
-        assert observer.seen == 250
+        observer = RecordingObserver()
+        batches = column_batches(generated_records[:250], 100)
+        assert replay(iter(batches), observer) == 250
+        assert observer.seen == generated_records[:250]
 
 
 class TestTraceCache:
@@ -342,14 +354,25 @@ class TestTraceCache:
         assert not path.exists()
         assert cache.stats.misses == 1
 
-    def test_disabled_cache_replay_still_works(self, monkeypatch, dataset):
+    def test_disabled_cache_replay_still_works(
+        self, monkeypatch, tmp_path, dataset
+    ):
+        # A disabled cache keeps the default root (~/.cache/repro); point
+        # it at an empty home so traces the user recorded there cannot
+        # leak into the check.  Drop the memoised default (and the value
+        # it was built for) so it is rebuilt under that home.
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setattr("repro.trace.cache._default", None)
+        monkeypatch.setattr("repro.trace.cache._default_env", None)
         monkeypatch.setenv(ENV_VAR, "off")
         table = PassiveServiceTable(
             is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports
         )
         count = dataset.replay(table)
         assert count > 0
-        assert default_trace_cache().entries() == []
+        cache = default_trace_cache()
+        assert cache.root == tmp_path / ".cache" / "repro"
+        assert cache.entries() == []
 
 
 class TestConcurrentWriters:
@@ -419,3 +442,153 @@ class TestConcurrentWriters:
         assert read_trace(cache.lookup(self.KEY)) == generated_records[:50]
         rewrite.commit()
         assert read_trace(cache.lookup(self.KEY)) == generated_records
+
+
+def _columns_of(batches) -> dict:
+    """Concatenate column batches field by field."""
+    import numpy as np
+
+    from repro.trace.columnar import COLUMN_FIELDS
+
+    batches = list(batches)
+    return {
+        name: np.concatenate([getattr(b, name) for b in batches])
+        if batches else np.empty(0, dtype=dtype)
+        for name, dtype in COLUMN_FIELDS
+    }
+
+
+def _assert_same_columns(got: dict, expected: dict) -> None:
+    for name, column in expected.items():
+        assert got[name].tolist() == column.tolist(), name
+
+
+class TestRecordSource:
+    """``BuiltDataset.record_batches``: the one source every pass reads."""
+
+    @pytest.fixture()
+    def reference(self, generated_records):
+        return _columns_of([RecordColumns.from_records(generated_records)])
+
+    def _sliced(self, reference: dict, skip: int) -> dict:
+        return {name: column[skip:] for name, column in reference.items()}
+
+    @pytest.mark.parametrize("batch_records,skip", [
+        (1000, 0), (8192, 8191), (8192, 8192), (8192, 8193),
+    ])
+    def test_regenerated_equals_generator(
+        self, monkeypatch, dataset, reference, batch_records, skip
+    ):
+        monkeypatch.setenv(ENV_VAR, "off")
+        batches = list(dataset.record_batches(
+            skip=skip, batch_records=batch_records
+        ))
+        assert all(len(b) == batch_records for b in batches[:-1])
+        _assert_same_columns(_columns_of(batches), self._sliced(reference, skip))
+
+    def test_cached_equals_generator(
+        self, monkeypatch, tmp_path, dataset, reference, generated_records
+    ):
+        monkeypatch.setenv(ENV_VAR, str(tmp_path))
+        dataset.replay()
+        assert default_trace_cache().lookup(dataset.trace_cache_key)
+        total = len(generated_records)
+        for batch_records in (1000, 8192, 65536, 100_000):
+            for skip in (0, 999, 1000, 1001, 65535, 65536, 65537,
+                         total - 1, total, total + 5):
+                batches = list(dataset.record_batches(
+                    skip=skip, batch_records=batch_records
+                ))
+                assert all(len(b) <= batch_records for b in batches)
+                _assert_same_columns(
+                    _columns_of(batches), self._sliced(reference, skip)
+                )
+
+    def test_partial_pass_regenerates_truncated(self, dataset):
+        end = dataset.duration / 4
+        expected = list(dataset._generate_stream(end))
+        got = [
+            r for b in dataset.record_batches(end, skip=5, batch_records=777)
+            for r in b.to_records()
+        ]
+        assert got == expected[5:]
+
+    def test_first_replay_records_byte_identical_trace(
+        self, monkeypatch, tmp_path, dataset, generated_records
+    ):
+        from repro.trace.columnar import ColumnarTraceWriter
+
+        monkeypatch.setenv(ENV_VAR, str(tmp_path / "cache"))
+        dataset.replay()
+        recorded = default_trace_cache().lookup(dataset.trace_cache_key)
+        one_by_one = tmp_path / "one-by-one.rprt"
+        with ColumnarTraceWriter.open(one_by_one) as writer:
+            for record in generated_records:
+                writer.write(record)
+        assert recorded.read_bytes() == one_by_one.read_bytes()
+
+    def test_abandoned_recording_leaves_no_entry(
+        self, monkeypatch, tmp_path, dataset, generated_records
+    ):
+        from repro.trace.columnar import DEFAULT_CHUNK_RECORDS
+
+        root = tmp_path / "cache"
+        monkeypatch.setenv(ENV_VAR, str(root))
+
+        class Exploding:
+            def __init__(self):
+                self.batches = 0
+
+            def observe_columns(self, cols):
+                self.batches += 1
+                if self.batches == 2:
+                    raise RuntimeError("observer failed mid-pass")
+
+        with pytest.raises(RuntimeError):
+            dataset.replay(Exploding())
+        assert [p.name for p in root.iterdir() if p.suffix == ".rprt"] == []
+        assert not any(".tmp." in p.name for p in root.iterdir())
+
+        origin, batches = dataset._open_pass(
+            None, 0, DEFAULT_CHUNK_RECORDS, record=True
+        )
+        assert origin == "recorded"
+        next(batches)
+        batches.close()
+        assert [p.name for p in root.iterdir() if p.suffix == ".rprt"] == []
+        assert not any(".tmp." in p.name for p in root.iterdir())
+
+        # The next pass records cleanly.
+        assert dataset.replay() == len(generated_records)
+        recorded = default_trace_cache().lookup(dataset.trace_cache_key)
+        assert recorded is not None
+        assert read_trace(recorded) == generated_records
+
+    def test_cached_stream_honours_batch_records(
+        self, monkeypatch, tmp_path, dataset
+    ):
+        from repro.stream import StreamConfig, StreamEngine
+        from repro.stream.ingest import StreamIngestor
+
+        monkeypatch.setenv(ENV_VAR, str(tmp_path))
+        dataset.replay()
+        assert default_trace_cache().lookup(dataset.trace_cache_key)
+        dispatched = []
+        original = StreamIngestor.dispatch
+
+        def spy(self, parts):
+            dispatched.append(sum(len(part) for part in parts))
+            return original(self, parts)
+
+        def run(**overrides):
+            config = StreamConfig(
+                dataset=DATASET, seed=SEED, scale=1.0, shards=2, **overrides
+            )
+            return StreamEngine(config, dataset=dataset).run()
+
+        default = run()
+        monkeypatch.setattr(StreamIngestor, "dispatch", spy)
+        small = run(batch_records=1000)
+        assert dispatched and max(dispatched) <= 1000
+        assert small.report == default.report
+        assert small.records_delivered == default.records_delivered

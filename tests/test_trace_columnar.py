@@ -20,11 +20,7 @@ from repro.net.packet import (
     PacketRecord,
     TcpFlags,
 )
-from repro.passive.monitor import (
-    PassiveServiceTable,
-    replay_batched,
-    replay_columnar,
-)
+from repro.passive.monitor import PassiveServiceTable, replay
 from repro.passive.scandetect import ExternalScanDetector
 from repro.passive.taps import MultiLinkMonitor
 from repro.passive.windows import WindowActivityObserver
@@ -40,7 +36,6 @@ from repro.trace.columnar import (
 from repro.trace.format import (
     TRACE_FORMAT_VERSION,
     TraceReader,
-    read_records_chunked,
     read_trace,
     trace_is_intact,
     trace_version,
@@ -170,8 +165,9 @@ class TestColumnarFormat:
             for record in records:
                 writer.write(record)
         for skip in (0, 3, 6, 13, 20):
-            got = [r for b in read_records_chunked(path, 4, skip_records=skip)
-                   for r in b]
+            batches = list(read_trace_columns(path, 4, skip_records=skip))
+            assert all(len(b) <= 4 for b in batches)
+            got = [r for b in batches for r in b.to_records()]
             assert got == records[skip:], f"skip={skip}"
 
     def test_truncation_detected(self, tmp_path):
@@ -216,9 +212,9 @@ class TestColumnarFormat:
         with TraceReader.open(path) as reader:
             assert reader.declared_count == 30
         assert not trace_is_intact(path)
-        got = list(read_records_chunked(path, 7))
+        got = list(read_trace_columns(path, 7))
         assert [len(b) for b in got] == [7, 7, 7, 7, 2]
-        assert [r for b in got for r in b] == records
+        assert [r for b in got for r in b.to_records()] == records
 
 
 class TestCacheKeyVersion:
@@ -249,6 +245,19 @@ class TestCacheKeyVersion:
         # A v1-era entry is invisible to the current-version lookup.
         assert cache.lookup(key) is None
         assert old.exists()
+
+
+def _observe_each(records, observers, faults=None) -> int:
+    """The per-record reference pass: every kept record, in order, to
+    every observer's ``observe``; returns the kept count."""
+    count = 0
+    for record in records:
+        if faults is not None and not faults.keep(record):
+            continue
+        for observer in observers:
+            observer.observe(record)
+        count += 1
+    return count
 
 
 def _faulty_plan() -> FaultPlan:
@@ -314,15 +323,13 @@ class TestColumnarReplayEquivalence:
 
         columnar = self._observers(dataset)
         faults_c = plan.capture_filter(dataset.duration) if plan else None
-        count_c = replay_columnar(
+        count_c = replay(
             read_trace_columns(cached), *columnar, faults=faults_c
         )
 
         scalar = self._observers(dataset)
         faults_s = plan.capture_filter(dataset.duration) if plan else None
-        count_s = replay_batched(
-            read_records_chunked(cached), *scalar, faults=faults_s
-        )
+        count_s = _observe_each(read_trace(cached), scalar, faults_s)
 
         assert count_c == count_s
         self._assert_equal_state(columnar, scalar)
@@ -338,8 +345,8 @@ class TestColumnarReplayEquivalence:
             def __init__(self):
                 self.seen = []
 
-            def observe_batch(self, records):
-                self.seen.extend(records)
+            def observe(self, record):
+                self.seen.append(record)
 
         plain = RecordingObserver()
         table = PassiveServiceTable(
@@ -347,7 +354,7 @@ class TestColumnarReplayEquivalence:
             tcp_ports=dataset.tcp_ports,
             udp_ports=dataset.udp_ports,
         )
-        replay_columnar(read_trace_columns(cached), table, plain)
+        replay(read_trace_columns(cached), table, plain)
         assert plain.seen == read_trace(cached)
 
     def test_survey_report_identical(self, cached_trace):
@@ -367,13 +374,11 @@ class TestColumnarReplayEquivalence:
             )
             faults = plan.capture_filter(dataset.duration) if plan else None
             if columnar:
-                count = replay_columnar(
+                count = replay(
                     read_trace_columns(cached), table, faults=faults
                 )
             else:
-                count = replay_batched(
-                    read_records_chunked(cached), table, faults=faults
-                )
+                count = _observe_each(read_trace(cached), [table], faults)
             active = {
                 address
                 for address, _ in union_open_endpoints(dataset.scan_reports)
@@ -390,27 +395,25 @@ class TestColumnarReplayEquivalence:
 
 
 class TestColumnarStreamEquivalence:
-    def test_stream_columnar_matches_scalar(
+    def test_stream_cached_matches_regenerated(
         self, allports_dataset, tmp_path, monkeypatch
     ):
         from repro.stream.engine import StreamConfig, StreamEngine
 
-        monkeypatch.setenv(ENV_VAR, str(tmp_path))
         dataset = allports_dataset
-        dataset.replay()  # warm the v2 cache
-        results = {}
-        for columnar in (True, False):
-            config = StreamConfig(
-                dataset=dataset.spec.name, seed=dataset.seed,
-                scale=dataset.scale, shards=4, columnar=columnar,
-            )
-            results[columnar] = StreamEngine(config, dataset=dataset).run()
-        assert results[True].report == results[False].report
-        assert results[True].last_seen == results[False].last_seen
-        assert (
-            results[True].records_delivered
-            == results[False].records_delivered
+        config = StreamConfig(
+            dataset=dataset.spec.name, seed=dataset.seed,
+            scale=dataset.scale, shards=4,
         )
+        monkeypatch.setenv(ENV_VAR, "off")
+        regenerated = StreamEngine(config, dataset=dataset).run()
+        monkeypatch.setenv(ENV_VAR, str(tmp_path))
+        dataset.replay()  # warm the v2 cache
+        cached = StreamEngine(config, dataset=dataset).run()
+        assert cached.report == regenerated.report
+        assert cached.last_seen == regenerated.last_seen
+        assert cached.records_delivered == regenerated.records_delivered
+        assert cached.watermarks == regenerated.watermarks
 
 
 class TestRecordColumns:

@@ -384,7 +384,7 @@ class _BlockedState:
         self.records = 0
         self.last_seen = {}
 
-    def observe_batch(self, records):  # pragma: no cover - timing-dependent
+    def observe_columns(self, cols):  # pragma: no cover - timing-dependent
         self.release.wait()
 
 
@@ -565,6 +565,7 @@ class TestNoOpTracingOverhead:
 
     def _workload(self):
         from repro.net.packet import tcp_syn, tcp_synack
+        from repro.trace.columnar import RecordColumns
 
         campus = 0x80000000
         chunks = []
@@ -582,7 +583,7 @@ class TestNoOpTracingOverhead:
                         t, 0x10000000 + i, campus + (i % 64), 1024 + i, 80,
                         link="commercial1",
                     ))
-            chunks.append(batch)
+            chunks.append(RecordColumns.from_records(batch))
         return chunks
 
     def _observer(self):
@@ -598,7 +599,7 @@ class TestNoOpTracingOverhead:
     def _plain_pass(chunks, observer):
         count = 0
         for batch in chunks:
-            observer.observe_batch(batch)
+            observer.observe_columns(batch)
             count += len(batch)
         return count
 
@@ -607,7 +608,7 @@ class TestNoOpTracingOverhead:
         trc = tracer()
         count = 0
         for batch in chunks:
-            observer.observe_batch(batch)
+            observer.observe_columns(batch)
             count += len(batch)
             if trc.enabled:
                 trc.note("engine.batch", records=count)
